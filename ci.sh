@@ -120,14 +120,9 @@ cargo run --release -q -p lvp-cli -- trace verify "$trace_file" | grep -F 'check
 
 # Smoke-run the whole experiment registry through the harness on the
 # fast workload subset; prints per-experiment wall time and the engine's
-# cache counters, and fails if any experiment errors. A fresh cache dir
-# makes the first run cold; the rerun in a second process must then be
-# served entirely from the persistent disk cache (zero traces computed).
-cache_dir="target/lvp-cache-ci"
-rm -rf "$cache_dir"
-
-echo "==> lvp bench --all --fast --threads 2 (cold disk cache)"
-bench_out="$(cargo run --release -q -p lvp-cli -- bench --all --fast --threads 2 --cache-dir "$cache_dir")"
+# cache counters, and fails if any experiment errors.
+echo "==> lvp bench --all --fast --threads 2"
+bench_out="$(cargo run --release -q -p lvp-cli -- bench --all --fast --threads 2)"
 printf '%s\n' "$bench_out" | grep -E '^\[|^engine:'
 # `--all` includes the ablation_synth experiment: at least one synthetic
 # adversary must land >= 20pp below the suite's mean hybrid coverage, or
@@ -138,40 +133,14 @@ if ! printf '%s\n' "$bench_out" | grep -qF 'synth adversarial gate: PASS'; then
     exit 1
 fi
 
-echo "==> lvp bench --all --fast --threads 2 (warm disk cache, second process)"
-bench_warm="$(cargo run --release -q -p lvp-cli -- bench --all --fast --threads 2 --cache-dir "$cache_dir")"
-printf '%s\n' "$bench_warm" | grep -E '^engine:'
-if ! printf '%s\n' "$bench_warm" | grep -E '^engine:' | grep -qF 'traces 0 computed'; then
-    echo "ci: warm bench rerun was not served from the disk cache" >&2
-    exit 1
-fi
-if printf '%s\n' "$bench_warm" | grep -E '^engine:' | grep -qE '/ 0 disk,'; then
-    echo "ci: warm bench rerun reported zero disk-cache hits" >&2
-    exit 1
-fi
-
-# Engine invariance: traces are content-addressed by what they describe,
-# not by which engine produced them, so a rerun under the interpreter
-# oracle must be served entirely from the disk cache the fastsim engine
-# just filled. A cache miss here means the engines' LVPT-v2 bytes (and
-# hence the cache keys) have drifted apart.
-echo "==> lvp bench --all --fast --engine interp (cache keys engine-invariant)"
-bench_interp="$(cargo run --release -q -p lvp-cli -- bench --all --fast --threads 2 \
-    --cache-dir "$cache_dir" --engine interp)"
-printf '%s\n' "$bench_interp" | grep -E '^engine:'
-if ! printf '%s\n' "$bench_interp" | grep -E '^engine:' | grep -qF 'traces 0 computed'; then
-    echo "ci: interp-engine rerun recomputed traces; disk-cache keys are not engine-invariant" >&2
-    exit 1
-fi
-
 # Predictor-sweep smoke: drive the annotation pipeline once per backend
-# kind over the fast subset (reusing the trace disk cache above). Every
-# non-default kind must tag the config names in its report; the default
-# kind must not (its output is byte-identical to the pre-zoo renderer).
+# kind over the fast subset. Every non-default kind must tag the config
+# names in its report; the default kind must not (its output is
+# byte-identical to the pre-zoo renderer).
 echo "==> lvp bench table3 --fast --predictor <kind> (predictor-sweep smoke)"
 for kind in last-value stride context store-to-load hybrid; do
     sweep_out="$(cargo run --release -q -p lvp-cli -- bench table3 --fast --threads 2 \
-        --cache-dir "$cache_dir" --predictor "$kind")"
+        --predictor "$kind")"
     case "$kind" in
     last-value)
         if printf '%s\n' "$sweep_out" | grep -qF "[$kind]"; then
@@ -189,17 +158,17 @@ for kind in last-value stride context store-to-load hybrid; do
 done
 
 # Static/dynamic cross-check gate: every fast-subset workload at every
-# profile x opt level is traced (reusing the bench disk cache above) and
-# both dynamic oracles must hold — the CVU oracle (no must-constant load
-# invalidated by a store or changing its value) and the value-flow
-# stride oracle (every judged affine-stride/must-constant claim meets
-# the stride predictor's accuracy floor). --value-flow also emits the
-# static LVP012-021 lints, which are baseline-gated above, so a findings
-# exit (1) is tolerated here; the PASS verdict lines are the gate.
+# profile x opt level is traced and both dynamic oracles must hold — the
+# CVU oracle (no must-constant load invalidated by a store or changing
+# its value) and the value-flow stride oracle (every judged
+# affine-stride/must-constant claim meets the stride predictor's
+# accuracy floor). --value-flow also emits the static LVP012-021 lints,
+# which are baseline-gated above, so a findings exit (1) is tolerated
+# here; the PASS verdict lines are the gate.
 echo "==> lvp check --all --cross-check --value-flow --fast (CVU + stride oracle gate)"
 cc_status=0
 cc_out="$(cargo run --release -q -p lvp-cli -- check --all --cross-check --value-flow \
-    --fast --threads 2 --cache-dir "$cache_dir")" || cc_status=$?
+    --fast --threads 2)" || cc_status=$?
 if [ "$cc_status" -gt 1 ]; then
     echo "ci: lvp check --all --cross-check --value-flow failed with status $cc_status" >&2
     exit "$cc_status"
@@ -215,25 +184,17 @@ if ! printf '%s\n' "$cc_out" | grep -qF 'value-flow: PASS'; then
 fi
 
 # Workload characterization smoke: the per-load-PC metric pass over the
-# fast subset, served from the warm disk cache above (zero traces
-# recomputed — the characterizer layers onto cached traces). The
-# Spearman rank gate is only meaningful on the full 17-benchmark suite
-# (asserted in the committed results/characterize.txt); here we require
-# the gate line to be present, not to pass, since a 4-point rank
-# correlation is statistically vacuous.
-echo "==> lvp characterize --fast --threads 2 (warm cache, metric smoke)"
-char_out="$(cargo run --release -q -p lvp-cli -- characterize --fast --threads 2 \
-    --cache-dir "$cache_dir")"
+# fast subset. The Spearman rank gate is only meaningful on the full
+# 17-benchmark suite (asserted in the committed results/characterize.txt);
+# here we require the gate line to be present, not to pass, since a
+# 4-point rank correlation is statistically vacuous.
+echo "==> lvp characterize --fast --threads 2 (metric smoke)"
+char_out="$(cargo run --release -q -p lvp-cli -- characterize --fast --threads 2)"
 printf '%s\n' "$char_out" | grep -E '^rank correlation|^engine:'
 if ! printf '%s\n' "$char_out" | grep -qE '^rank correlation \(Spearman\)'; then
     echo "ci: lvp characterize printed no Spearman gate line" >&2
     exit 1
 fi
-if ! printf '%s\n' "$char_out" | grep -E '^engine:' | grep -qF 'traces 0 computed'; then
-    echo "ci: characterize recomputed traces despite the warm disk cache" >&2
-    exit 1
-fi
-rm -rf "$cache_dir"
 
 # Synth generator round-trip gate: generation is a pure function of the
 # spec — two separate processes must emit byte-identical programs — and

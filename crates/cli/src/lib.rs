@@ -46,9 +46,6 @@
 //!   --fast                  bench on the 4-workload smoke subset
 //!   --all                   bench every registered experiment
 //!   --csv                   bench output as CSV instead of text
-//!   --cache-dir DIR         bench persistent trace cache location
-//!                           (default target/lvp-cache)
-//!   --no-disk-cache         disable the bench persistent trace cache
 //! ```
 //!
 //! `<prog|workload>` is a suite workload name (`lvp suite` lists them), a
@@ -168,11 +165,6 @@ pub struct Options {
     pub csv: bool,
     /// Output path for `trace pack`.
     pub out: Option<String>,
-    /// Persistent trace cache directory for `bench` (`None` = default
-    /// `target/lvp-cache`).
-    pub cache_dir: Option<String>,
-    /// Disable the `bench` persistent trace cache entirely.
-    pub no_disk_cache: bool,
     /// Microbenchmarks selected with `--bench NAME` for `perf` (empty =
     /// whole registry, or the fast subset under `--fast`).
     pub bench: Vec<String>,
@@ -235,8 +227,6 @@ impl Default for Options {
             all: false,
             csv: false,
             out: None,
-            cache_dir: None,
-            no_disk_cache: false,
             bench: Vec::new(),
             json: false,
             baseline: None,
@@ -333,8 +323,6 @@ pub fn parse_options(args: &[String]) -> Result<(Options, Vec<String>), CliError
                 };
             }
             "--out" => opts.out = Some(take_value(&mut i)?),
-            "--cache-dir" => opts.cache_dir = Some(take_value(&mut i)?),
-            "--no-disk-cache" => opts.no_disk_cache = true,
             "--bench" => opts.bench.push(take_value(&mut i)?),
             "--baseline" => opts.baseline = Some(take_value(&mut i)?),
             "--threshold" => {
@@ -769,7 +757,7 @@ pub fn cmd_check(target: &str, opts: &Options) -> Result<String, CliError> {
 /// diagnostic or oracle violation is a findings error (exit 1) carrying
 /// the full rendered report.
 pub fn cmd_check_all(opts: &Options) -> Result<String, CliError> {
-    let engine = build_engine(opts)?;
+    let engine = build_engine(opts);
     let profiles = [AsmProfile::Gp, AsmProfile::Toc];
     let opt_levels = [OptLevel::O0, OptLevel::O1];
 
@@ -1175,12 +1163,9 @@ pub fn cmd_simulate(target: &str, opts: &Options) -> Result<String, CliError> {
 }
 
 /// Builds the shared harness [`lvp_harness::Engine`] from the common
-/// `--fast` / `--threads` / `--cache-dir` / `--no-disk-cache` flags
-/// (used by `bench` and `check --all`).
-///
-/// Runs persist traces to the disk cache by default, so a rerun in a
-/// fresh process is served from disk and computes zero traces.
-fn build_engine(opts: &Options) -> Result<lvp_harness::Engine, CliError> {
+/// `--fast` / `--threads` / `--predictor` / `--static-hints` /
+/// `--engine` flags (used by `bench`, `characterize` and `check --all`).
+fn build_engine(opts: &Options) -> lvp_harness::Engine {
     let mut engine = if opts.fast {
         lvp_harness::Engine::fast()
     } else {
@@ -1192,19 +1177,9 @@ fn build_engine(opts: &Options) -> Result<lvp_harness::Engine, CliError> {
     if let Some(kind) = opts.predictor {
         engine = engine.with_predictor(kind);
     }
-    engine = engine
+    engine
         .with_static_hints(opts.static_hints)
-        .with_sim_engine(opts.engine);
-    if opts.no_disk_cache {
-        if opts.cache_dir.is_some() {
-            return Err(CliError::new(
-                "--cache-dir and --no-disk-cache are mutually exclusive",
-            ));
-        }
-    } else {
-        engine = engine.with_disk_cache(opts.cache_dir.as_deref().unwrap_or("target/lvp-cache"));
-    }
-    Ok(engine)
+        .with_sim_engine(opts.engine)
 }
 
 /// `lvp bench` with no arguments — lists the experiment registry.
@@ -1224,11 +1199,6 @@ fn bench_listing() -> String {
 /// matter how many experiments consume it. `--fast` restricts the suite
 /// to the 4-workload smoke subset, `--threads N` bounds the worker pool,
 /// `--all` selects the whole registry, `--csv` swaps the renderer.
-///
-/// Bench additionally persists every generated trace to a
-/// content-addressed disk cache (default `target/lvp-cache`, relocatable
-/// with `--cache-dir`, disabled with `--no-disk-cache`), so reruns in
-/// fresh processes report `traces 0 computed` and are served from disk.
 ///
 /// Each report is followed by a `[name: wall-time]` line and the run
 /// ends with an engine cache-counter summary, so CI logs show where the
@@ -1257,7 +1227,7 @@ pub fn cmd_bench(names: &[String], opts: &Options) -> Result<String, CliError> {
             .collect::<Result<_, _>>()?
     };
 
-    let engine = build_engine(opts)?;
+    let engine = build_engine(opts);
 
     let started = std::time::Instant::now();
     let mut out = String::new();
@@ -1284,8 +1254,8 @@ pub fn cmd_bench(names: &[String], opts: &Options) -> Result<String, CliError> {
     let s = engine.stats();
     let _ = writeln!(
         out,
-        "engine: {} experiment{}, {} thread{}, {:.2}s total | traces {} computed / {} cached / \
-         {} disk, annotations {} computed / {} cached, timings {} computed / {} cached",
+        "engine: {} experiment{}, {} thread{}, {:.2}s total | traces {} computed / {} cached, \
+         annotations {} computed / {} cached, timings {} computed / {} cached",
         selected.len(),
         if selected.len() == 1 { "" } else { "s" },
         engine.threads(),
@@ -1293,7 +1263,6 @@ pub fn cmd_bench(names: &[String], opts: &Options) -> Result<String, CliError> {
         started.elapsed().as_secs_f64(),
         s.traces_computed,
         s.trace_hits,
-        s.traces_disk_hit,
         s.annotations_computed,
         s.annotation_hits,
         s.timings_computed,
@@ -1301,12 +1270,14 @@ pub fn cmd_bench(names: &[String], opts: &Options) -> Result<String, CliError> {
     );
     let _ = writeln!(
         out,
-        "stages: compile+trace {:.2}s, predict {:.2}s, time {:.2}s, cross-check {:.2}s \
-         ({:.2}s work across {} thread{})",
+        "stages: compile+trace {:.2}s, predict {:.2}s, time {:.2}s, cross-check {:.2}s, \
+         value-flow {:.2}s, characterize {:.2}s ({:.2}s work across {} thread{})",
         s.trace_ns as f64 / 1e9,
         s.annotate_ns as f64 / 1e9,
         s.timing_ns as f64 / 1e9,
         s.crosscheck_ns as f64 / 1e9,
+        s.value_flow_ns as f64 / 1e9,
+        s.characterize_ns as f64 / 1e9,
         s.total_stage_ns() as f64 / 1e9,
         engine.threads(),
         if engine.threads() == 1 { "" } else { "s" },
@@ -1316,19 +1287,19 @@ pub fn cmd_bench(names: &[String], opts: &Options) -> Result<String, CliError> {
 
 /// `lvp characterize [names...]` — per-benchmark value-locality metrics
 /// through the `characterize` experiment: one streaming characterizer
-/// pass per trace (cached like traces, persisted runs served from the
-/// disk cache), with the Spearman rank-correlation gate against
-/// measured depth-1 locality. Positional names restrict the suite
-/// (`synth-*` adversaries are valid names); `--fast` selects the smoke
-/// subset; `--csv` swaps the renderer and suppresses the engine
-/// summary line so the output is a clean machine-readable document.
+/// pass per trace (cached like traces), with the Spearman
+/// rank-correlation gate against measured depth-1 locality.
+/// Positional names restrict the suite (`synth-*` adversaries are
+/// valid names); `--fast` selects the smoke subset; `--csv` swaps the
+/// renderer and suppresses the engine summary line so the output is a
+/// clean machine-readable document.
 ///
 /// # Errors
 ///
 /// Returns [`CliError`] for unknown workload names and propagates
 /// harness failures.
 pub fn cmd_characterize(names: &[String], opts: &Options) -> Result<String, CliError> {
-    let mut engine = build_engine(opts)?;
+    let mut engine = build_engine(opts);
     if !names.is_empty() {
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
         engine = engine
@@ -1344,11 +1315,10 @@ pub fn cmd_characterize(names: &[String], opts: &Options) -> Result<String, CliE
     let s = engine.stats();
     let _ = writeln!(
         out,
-        "engine: traces {} computed / {} cached / {} disk, characterizations {} computed / \
-         {} cached ({:.2}s characterize)",
+        "engine: traces {} computed / {} cached, characterizations {} computed / {} cached \
+         ({:.2}s characterize)",
         s.traces_computed,
         s.trace_hits,
-        s.traces_disk_hit,
         s.characterizations_computed,
         s.characterization_hits,
         s.characterize_ns as f64 / 1e9,
@@ -1548,17 +1518,7 @@ pub fn cmd_perf(opts: &Options) -> Result<String, CliError> {
     use lvp_harness::perf;
 
     if opts.list {
-        let mut out = String::from("benches (* = fast subset):\n");
-        for b in perf::benches() {
-            let _ = writeln!(
-                out,
-                "  {}{:19} {}",
-                if b.fast { "*" } else { " " },
-                b.name,
-                b.what
-            );
-        }
-        return Ok(out);
+        return Ok(render_perf_list(perf::benches()));
     }
     let cfg = lvp_harness::PerfConfig::from_env().map_err(|e| CliError::new(e.to_string()))?;
     let selection =
@@ -1573,18 +1533,7 @@ pub fn cmd_perf(opts: &Options) -> Result<String, CliError> {
     let mut out = if opts.json {
         report.to_json()
     } else {
-        let mut text = format!(
-            "{:20} {:>12} {:>12} {:>12}   (iters {}, warmup {})\n",
-            "bench", "median_ns", "p10_ns", "p90_ns", cfg.iters, cfg.warmup
-        );
-        for r in &report.results {
-            let _ = writeln!(
-                text,
-                "{:20} {:>12} {:>12} {:>12}",
-                r.name, r.median_ns, r.p10_ns, r.p90_ns
-            );
-        }
-        text
+        render_perf_table(&report)
     };
 
     if opts.check {
@@ -1621,6 +1570,42 @@ pub fn cmd_perf(opts: &Options) -> Result<String, CliError> {
         }
     }
     Ok(out)
+}
+
+/// `lvp perf --list`: one line per registered bench, with the name
+/// column as wide as the longest name so the descriptions line up.
+fn render_perf_list(benches: &[lvp_harness::BenchDef]) -> String {
+    let w = benches.iter().map(|b| b.name.len()).max().unwrap_or(0);
+    let mut out = String::from("benches (* = fast subset):\n");
+    for b in benches {
+        let mark = if b.fast { "*" } else { " " };
+        let _ = writeln!(out, "  {mark}{:w$} {}", b.name, b.what);
+    }
+    out
+}
+
+/// The `lvp perf` text table, with the name column as wide as the
+/// longest bench name printed so the numeric columns line up.
+fn render_perf_table(report: &lvp_harness::PerfReport) -> String {
+    let w = report
+        .results
+        .iter()
+        .map(|r| r.name.len())
+        .chain(["bench".len()])
+        .max()
+        .unwrap_or(0);
+    let mut out = format!(
+        "{:w$} {:>12} {:>12} {:>12}   (iters {}, warmup {})\n",
+        "bench", "median_ns", "p10_ns", "p90_ns", report.config.iters, report.config.warmup
+    );
+    for r in &report.results {
+        let _ = writeln!(
+            out,
+            "{:w$} {:>12} {:>12} {:>12}",
+            r.name, r.median_ns, r.p10_ns, r.p90_ns
+        );
+    }
+    out
 }
 
 /// Usage text.
@@ -1661,8 +1646,7 @@ pub fn usage() -> &'static str {
      \x20        value-flow classes; annotate/simulate/bench)\n\
      \x20        --format text|json (with check)\n\
      \x20        --out FILE (with trace pack)\n\
-     \x20        --threads N  --fast  --all  --csv  --cache-dir DIR\n\
-     \x20        --no-disk-cache (with bench / check --all)\n\
+     \x20        --threads N  --fast  --all  --csv (with bench / check --all)\n\
      \x20        --bench NAME  --json  --baseline FILE  --check\n\
      \x20        --threshold PCT  --list (with perf)\n\n\
      `lvp check` / `lvp perf --check` exit codes: 0 clean, 1 findings\n\
@@ -1968,34 +1952,21 @@ mod tests {
     }
 
     #[test]
-    fn cache_and_out_flags_parse() {
-        let (o, pos) = parse_options(&args(&[
-            "pack",
-            "quick",
-            "--out",
-            "q.lvpt",
-            "--cache-dir",
-            "/tmp/c",
-            "--no-disk-cache",
-        ]))
-        .unwrap();
+    fn out_flag_parses() {
+        let (o, pos) = parse_options(&args(&["pack", "quick", "--out", "q.lvpt"])).unwrap();
         assert_eq!(o.out.as_deref(), Some("q.lvpt"));
-        assert_eq!(o.cache_dir.as_deref(), Some("/tmp/c"));
-        assert!(o.no_disk_cache);
         assert_eq!(pos, vec!["pack", "quick"]);
         assert!(parse_options(&args(&["--out"])).is_err());
-        assert!(parse_options(&args(&["--cache-dir"])).is_err());
     }
 
     #[test]
-    fn bench_rejects_conflicting_cache_flags() {
-        let opts = Options {
-            cache_dir: Some("/tmp/x".into()),
-            no_disk_cache: true,
-            ..Options::default()
-        };
-        let err = cmd_bench(&args(&["table2"]), &opts).unwrap_err();
-        assert!(err.to_string().contains("mutually exclusive"), "{err}");
+    fn trace_cache_flags_are_unknown() {
+        // There is no persistent trace cache to relocate or disable.
+        for flags in [&["--cache-dir", "/tmp/c"][..], &["--no-disk-cache"]] {
+            let err = parse_options(&args(flags)).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{err}");
+            assert!(err.to_string().contains("unknown flag"), "{err}");
+        }
     }
 
     fn temp_file(name: &str) -> std::path::PathBuf {
@@ -2074,37 +2045,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_second_run_is_served_from_disk_cache() {
-        let dir =
-            std::env::temp_dir().join(format!("lvp-cli-bench-cache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = Options {
-            fast: true,
-            threads: Some(4),
-            cache_dir: Some(dir.to_str().unwrap().to_string()),
-            ..Options::default()
-        };
-        let cold = cmd_bench(&args(&["fig1"]), &opts).unwrap();
-        assert!(!cold.contains("traces 0 computed"), "{cold}");
-
-        let warm = cmd_bench(&args(&["fig1"]), &opts).unwrap();
-        assert!(warm.contains("traces 0 computed"), "{warm}");
-        assert!(!warm.contains("/ 0 disk"), "no disk hits: {warm}");
-        // Every trace the cold run computed is now a disk hit, and the
-        // reports themselves are byte-identical (timing lines aside).
-        let strip = |s: &str| -> String {
-            s.lines()
-                .filter(|l| {
-                    !l.starts_with('[') && !l.starts_with("engine:") && !l.starts_with("stages:")
-                })
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&cold), strip(&warm));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn bench_without_names_lists_registry() {
         let out = cmd_bench(&[], &Options::default()).unwrap();
         for def in lvp_harness::experiments() {
@@ -2131,7 +2071,11 @@ mod tests {
         assert!(out.contains("[table5:"), "{out}");
         assert!(out.contains("engine: 2 experiments, 2 threads"), "{out}");
         assert!(
-            out.contains("traces 0 computed / 0 cached / 0 disk"),
+            out.contains("traces 0 computed / 0 cached, annotations"),
+            "{out}"
+        );
+        assert!(
+            out.contains("value-flow 0.00s, characterize 0.00s"),
             "{out}"
         );
 
@@ -2445,6 +2389,57 @@ mod tests {
         assert_eq!(report.results[0].name, "alias_fixpoint");
     }
 
+    /// `(start, end)` byte offsets of the whitespace-separated tokens
+    /// of `line`.
+    fn token_spans(line: &str) -> Vec<(usize, usize)> {
+        line.split_whitespace()
+            .map(|t| {
+                let start = t.as_ptr() as usize - line.as_ptr() as usize;
+                (start, start + t.len())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn perf_columns_align_past_long_bench_names() {
+        let long = "fastsim_interp_stream_xlisp";
+        assert_eq!(long.len(), 27);
+        let result = |name: &str, ns: u64| lvp_harness::BenchResult {
+            name: name.to_string(),
+            median_ns: ns,
+            p10_ns: ns,
+            p90_ns: ns,
+            samples_ns: vec![ns],
+        };
+        let report = lvp_harness::PerfReport {
+            config: lvp_harness::PerfConfig {
+                iters: 1,
+                warmup: 0,
+            },
+            results: vec![
+                result("alias_fixpoint", 7),
+                result(long, 123_456_789),
+                result("sim_620_256k", 70_000),
+            ],
+        };
+        // The numeric columns are right-aligned, so on every line
+        // (header included) each one ends at the same offset.
+        let table = render_perf_table(&report);
+        let ends: Vec<Vec<usize>> = table
+            .lines()
+            .map(|l| token_spans(l)[1..4].iter().map(|&(_, e)| e).collect())
+            .collect();
+        assert_eq!(ends.len(), 4, "{table}");
+        assert!(ends.windows(2).all(|p| p[0] == p[1]), "{table}");
+
+        // The description column is left-aligned: it starts at the
+        // same offset on every registry line.
+        let list = render_perf_list(lvp_harness::benches());
+        assert!(list.contains(long), "{list}");
+        let starts: Vec<usize> = list.lines().skip(1).map(|l| token_spans(l)[1].0).collect();
+        assert!(starts.windows(2).all(|p| p[0] == p[1]), "{list}");
+    }
+
     #[test]
     fn synth_is_deterministic_across_dispatches() {
         let cmd = args(&[
@@ -2528,7 +2523,6 @@ mod tests {
     #[test]
     fn characterize_single_workload_reports_metrics() {
         let opts = Options {
-            no_disk_cache: true,
             threads: Some(2),
             ..Options::default()
         };
@@ -2548,10 +2542,7 @@ mod tests {
 
     #[test]
     fn characterize_accepts_synth_names_and_rejects_unknown() {
-        let opts = Options {
-            no_disk_cache: true,
-            ..Options::default()
-        };
+        let opts = Options::default();
         let err = cmd_characterize(&args(&["nonesuch"]), &opts).unwrap_err();
         assert_eq!(err.exit_code(), 2);
         assert!(err.to_string().contains("unknown workload"), "{err}");

@@ -27,11 +27,10 @@ fn fixture_path(name: &str) -> PathBuf {
         .join(format!("characterize_{name}.csv"))
 }
 
-/// Runs `lvp characterize <name> --csv` hermetically (no disk cache).
+/// Runs `lvp characterize <name> --csv`.
 fn characterize_csv(name: &str) -> String {
     let opts = Options {
         csv: true,
-        no_disk_cache: true,
         ..Options::default()
     };
     cmd_characterize(&[name.to_string()], &opts).expect("characterize succeeds")

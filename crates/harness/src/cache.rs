@@ -72,13 +72,15 @@ pub struct Annotation {
 /// `*_hits` counts requests served from an already-computed entry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Traces generated (phase-1 runs performed). Requests served from
-    /// the persistent disk cache do **not** count here.
+    /// Traces generated (phase-1 runs performed).
     pub traces_computed: u64,
     /// Trace requests served from the in-memory cache.
     pub trace_hits: u64,
-    /// Trace requests served from the persistent on-disk cache (no
-    /// phase-1 run performed in this process).
+    /// Always 0: the persistent disk trace cache it counted is gone
+    /// (DESIGN.md §6.2). The field stays because
+    /// `perfbench/src/main.rs` reads it and `perfbench/expected/*.json`
+    /// pins it at 0; removing it belongs with a change to that
+    /// benchmark.
     pub traces_disk_hit: u64,
     /// Annotation passes performed.
     pub annotations_computed: u64,
@@ -101,8 +103,7 @@ pub struct EngineStats {
     /// Characterization requests served from cache.
     pub characterization_hits: u64,
     /// Wall nanoseconds spent generating traces (phase 1, cache misses
-    /// only; disk-cache loads count here too — they are the phase-1
-    /// cost actually paid).
+    /// only).
     pub trace_ns: u64,
     /// Wall nanoseconds spent in LVP annotation passes (phase 2).
     pub annotate_ns: u64,
@@ -192,14 +193,7 @@ impl<K: Eq + Hash + Clone, V> KeyedCache<K, V> {
     }
 }
 
-/// The engine's three cache layers.
-///
-/// The trace layer splits its "computed" accounting in two: the keyed
-/// cache's own `computed` counter says how many closure executions
-/// happened, but with a persistent [`DiskCache`](crate::DiskCache)
-/// attached a closure execution may be a cheap disk *load* rather than a
-/// phase-1 run. `traces_generated` / `traces_disk_hits` record which of
-/// the two actually happened, and [`EngineStats`] reports those.
+/// The engine's cache layers and per-stage wall-time counters.
 pub(crate) struct Cache {
     pub(crate) traces: KeyedCache<TraceKey, WorkloadRun>,
     pub(crate) annotations: KeyedCache<(TraceKey, ConfigKey, bool), Annotation>,
@@ -207,10 +201,6 @@ pub(crate) struct Cache {
     pub(crate) crosschecks: KeyedCache<(TraceKey, ConfigKey), CrossCheckReport>,
     pub(crate) value_flows: KeyedCache<TraceKey, ValueFlowCheckReport>,
     pub(crate) characterizations: KeyedCache<TraceKey, Characterization>,
-    /// Phase-1 runs actually performed in this process.
-    pub(crate) traces_generated: AtomicU64,
-    /// Trace requests satisfied by the persistent disk cache.
-    pub(crate) traces_disk_hits: AtomicU64,
     /// Wall nanoseconds spent per stage (cache misses only).
     pub(crate) trace_ns: AtomicU64,
     pub(crate) annotate_ns: AtomicU64,
@@ -229,8 +219,6 @@ impl Cache {
             crosschecks: KeyedCache::new(),
             value_flows: KeyedCache::new(),
             characterizations: KeyedCache::new(),
-            traces_generated: AtomicU64::new(0),
-            traces_disk_hits: AtomicU64::new(0),
             trace_ns: AtomicU64::new(0),
             annotate_ns: AtomicU64::new(0),
             timing_ns: AtomicU64::new(0),
@@ -242,9 +230,9 @@ impl Cache {
 
     pub(crate) fn stats(&self) -> EngineStats {
         EngineStats {
-            traces_computed: self.traces_generated.load(Ordering::Relaxed),
+            traces_computed: self.traces.computed(),
             trace_hits: self.traces.hits(),
-            traces_disk_hit: self.traces_disk_hits.load(Ordering::Relaxed),
+            traces_disk_hit: 0,
             annotations_computed: self.annotations.computed(),
             annotation_hits: self.annotations.hits(),
             timings_computed: self.timings.computed(),

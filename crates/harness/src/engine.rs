@@ -2,7 +2,6 @@
 
 use crate::cache::{config_key, Annotation, Cache, EngineStats, TraceKey};
 use crate::crosscheck::{cross_check, CrossCheckReport};
-use crate::disk::DiskCache;
 use crate::error::{HarnessError, Phase};
 use crate::plan::{JobSpec, MachineModel, Plan};
 use crate::valueflow::{static_hints, value_flow_check, ValueFlowCheckReport};
@@ -95,7 +94,6 @@ pub struct Engine {
     static_hints: bool,
     sim_engine: SimEngine,
     cache: Cache,
-    disk: Option<DiskCache>,
 }
 
 impl Default for Engine {
@@ -117,7 +115,6 @@ impl Engine {
             static_hints: false,
             sim_engine: SimEngine::default(),
             cache: Cache::new(),
-            disk: None,
         }
     }
 
@@ -179,30 +176,6 @@ impl Engine {
     /// The simulation engine used for trace generation.
     pub fn sim_engine(&self) -> SimEngine {
         self.sim_engine
-    }
-
-    /// Attaches a persistent on-disk trace cache rooted at `dir`.
-    ///
-    /// With a disk cache attached, phase-1 results are served from disk
-    /// when a valid content-addressed entry exists (counted in
-    /// [`EngineStats::traces_disk_hit`], *not* in `traces_computed`) and
-    /// written back after every generation, so a rerun in a fresh
-    /// process computes zero traces. The engine defaults to **no** disk
-    /// cache — library users and tests stay hermetic unless they opt in.
-    pub fn with_disk_cache(mut self, dir: impl Into<std::path::PathBuf>) -> Engine {
-        self.disk = Some(DiskCache::new(dir));
-        self
-    }
-
-    /// Detaches the persistent disk cache (the default state).
-    pub fn without_disk_cache(mut self) -> Engine {
-        self.disk = None;
-        self
-    }
-
-    /// The attached disk cache's root directory, if any.
-    pub fn disk_cache_dir(&self) -> Option<&std::path::Path> {
-        self.disk.as_ref().map(DiskCache::dir)
     }
 
     /// Restricts the engine to a named workload subset: suite members
@@ -347,16 +320,11 @@ impl Ctx<'_> {
 
     /// Phase 1, cached: the full workload run (trace + program +
     /// output) for `(workload, profile, opt)`. Computed exactly once
-    /// per process and shared across all consumers. With a disk cache
-    /// attached (see [`Engine::with_disk_cache`]) the run is served
-    /// from a valid persistent entry when one exists, and written back
-    /// after generation otherwise.
+    /// per process and shared across all consumers.
     ///
     /// # Errors
     ///
-    /// Propagates [`run_workload`] failures. Disk-cache problems are
-    /// never errors: a bad entry is a miss (regenerated and rewritten)
-    /// and a failed write-back is ignored.
+    /// Propagates [`run_workload`] failures.
     pub fn workload_run(
         &self,
         w: &Workload,
@@ -365,24 +333,12 @@ impl Ctx<'_> {
     ) -> Result<Arc<WorkloadRun>, HarnessError> {
         let w = *w;
         let cache = &self.engine.cache;
-        let disk = self.engine.disk.as_ref();
         let sim_engine = self.engine.sim_engine;
         cache
             .traces
             .get_or_compute(Self::trace_key(&w, profile, opt), move || {
                 Self::timed(&cache.trace_ns, || {
-                    if let Some(run) = disk.and_then(|d| d.load(&w, profile, opt)) {
-                        cache.traces_disk_hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(run);
-                    }
-                    let run = run_workload_with(&w, profile, opt, sim_engine)?;
-                    cache.traces_generated.fetch_add(1, Ordering::Relaxed);
-                    if let Some(d) = disk {
-                        // Best-effort write-back: a full disk or read-only
-                        // cache dir must not fail the experiment.
-                        let _ = d.store(&w, profile, opt, &run);
-                    }
-                    Ok(run)
+                    run_workload_with(&w, profile, opt, sim_engine)
                 })
             })
     }

@@ -10,12 +10,10 @@
 //!   [`LvpConfig`](lvp_predictor::LvpConfig) × [`MachineModel`]).
 //! * [`Engine`] — a parallel executor over scoped threads with a
 //!   configurable worker count and deterministic (plan-order) result
-//!   merging, backed by content-keyed caches so each trace, annotation
-//!   and timing simulation is computed exactly once per process.
-//! * [`DiskCache`] — an opt-in persistent, content-addressed trace
-//!   cache ([`Engine::with_disk_cache`]) that makes phase 1 exactly-once
-//!   per *machine*: reruns in fresh processes load checksummed LVPT v2
-//!   artifacts from disk instead of re-simulating.
+//!   merging, backed by content-keyed in-memory caches so each trace,
+//!   annotation and timing simulation is computed exactly once per
+//!   process. Nothing is persisted across processes: regenerating a
+//!   trace is faster than reloading it from disk (DESIGN.md §6.2).
 //! * [`Report`] / [`ExperimentRow`] / [`Cell`] — structured results
 //!   separated from rendering; the classic fixed-width text output is
 //!   one renderer ([`Report::render_text`]), CSV another.
@@ -49,7 +47,6 @@
 
 pub mod cache;
 pub mod crosscheck;
-pub mod disk;
 pub mod engine;
 pub mod error;
 pub mod experiments;
@@ -60,7 +57,6 @@ pub mod valueflow;
 
 pub use cache::{Annotation, EngineStats};
 pub use crosscheck::{cross_check, CrossCheckReport, CrossCheckViolation, ViolationKind};
-pub use disk::DiskCache;
 pub use engine::{run_workload, run_workload_with, Ctx, Engine, FAST_WORKLOADS};
 pub use error::{ErrorKind, HarnessError, Phase};
 pub use experiments::{address_ranges, experiment, experiments, ExperimentDef};

@@ -231,13 +231,13 @@ impl<R: Read> TraceReader<R> {
     /// returns how many were appended; `Ok(0)` means the stream is
     /// cleanly exhausted.
     ///
-    /// This is the batch hot path under [`read_trace`](crate::read_trace)
-    /// and the harness disk cache: one call per v2 block (or per
-    /// [`BLOCK_ENTRIES`] records of a v1 stream) lets consumers process
-    /// `&[TraceEntry]` slices while reusing a single buffer, instead of
-    /// paying the iterator protocol per record. Error semantics are
-    /// identical to iterating: the same [`TraceIoError`]s surface at the
-    /// same records, and the reader fuses after the first error.
+    /// This is the batch hot path under [`read_trace`](crate::read_trace):
+    /// one call per v2 block (or per [`BLOCK_ENTRIES`] records of a v1
+    /// stream) lets consumers process `&[TraceEntry]` slices while
+    /// reusing a single buffer, instead of paying the iterator protocol
+    /// per record. Error semantics are identical to iterating: the same
+    /// [`TraceIoError`]s surface at the same records, and the reader
+    /// fuses after the first error.
     ///
     /// # Errors
     ///

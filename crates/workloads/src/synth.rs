@@ -7,8 +7,8 @@
 //! a valid mini-C program whose load population hits the shape.
 //! Generation is a pure function of [`SynthSpec`]: the same profile,
 //! seed, and scale produce byte-identical source in every process,
-//! which makes synthesized programs cacheable (the disk cache keys on
-//! source text), diffable, and pinnable as regression seeds.
+//! which makes synthesized programs diffable and pinnable as regression
+//! seeds.
 //!
 //! The profiles:
 //!

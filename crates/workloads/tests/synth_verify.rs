@@ -74,8 +74,8 @@ fn same_spec_regenerates_byte_identical_source() {
 }
 
 /// The exact generator output is pinned: if these hashes change, every
-/// committed artifact derived from a synth seed (results files, disk
-/// caches, fuzz repro seeds) silently means something else.
+/// committed artifact derived from a synth seed (results files, fuzz
+/// repro seeds) silently means something else.
 #[test]
 fn pinned_seed_sources_are_frozen() {
     let pins: &[(SynthProfile, u64, u64)] = &[

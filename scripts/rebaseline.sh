@@ -5,11 +5,12 @@
 #                                 microbenchmark registry; the document
 #                                 `lvp perf --check` (and ci.sh) diffs
 #                                 medians against.
-#   BENCH_2.json                — end-to-end cold-disk-cache wall-clock
-#                                 for `lvp bench --all --fast --threads 2`
+#   BENCH_2.json                — end-to-end wall-clock for
+#                                 `lvp bench --all --fast --threads 2`
 #                                 (3 runs, median) with the median run's
 #                                 `stages:` split (compile+trace, predict,
-#                                 time, cross-check, total work).
+#                                 time, cross-check, value-flow,
+#                                 characterize, total work).
 #
 # BENCH_0.json (interpreter era) and BENCH_1.json (fastsim engine) are
 # frozen earlier records and are never rewritten.
@@ -93,17 +94,13 @@ echo "==> lvp perf --json (full registry) > results/perf_baseline.json"
     > /dev/null
 echo "    wrote results/perf_baseline.json"
 
-echo "==> lvp bench --all --fast --threads 2, 3 cold runs"
+echo "==> lvp bench --all --fast --threads 2, 3 runs"
 runs=""
 mkdir -p target
 for i in 1 2 3; do
-    cache_dir="target/lvp-cache-rebaseline"
-    rm -rf "$cache_dir"
     start_ns=$(date +%s%N)
-    "$lvp" bench --all --fast --threads 2 --cache-dir "$cache_dir" \
-        > "target/rebaseline_run.txt"
+    "$lvp" bench --all --fast --threads 2 > "target/rebaseline_run.txt"
     end_ns=$(date +%s%N)
-    rm -rf "$cache_dir"
     secs=$(awk "BEGIN { printf \"%.2f\", ($end_ns - $start_ns) / 1e9 }")
     echo "    run $i: ${secs}s"
     runs="$runs $secs"
@@ -113,15 +110,22 @@ rm -f target/rebaseline_run.txt
 
 median=$(printf '%s\n' $runs | sort -n | sed -n 2p)
 
-# The median run's `stages:` line, e.g. "stages: compile+trace 2.34s,
-# predict 2.56s, time 11.21s, cross-check 0.00s (16.21s work across 2
-# threads)", holds its five times in this fixed order.
-set -- $(grep -o '[0-9][0-9.]*s' "target/rebaseline_stages_$median.txt" | tr -d s)
+# The median run's `stages:` line, e.g. "stages: compile+trace 1.42s,
+# predict 3.35s, time 8.93s, cross-check 0.00s, value-flow 0.00s,
+# characterize 0.12s (13.82s work across 2 threads)": each time is read
+# by the label in front of it, so adding a stage shifts nothing.
+stages="target/rebaseline_stages_$median.txt"
+stage() {
+    grep -o "$1 [0-9][0-9.]*s" "$stages" | sed 's/.* //; s/s$//'
+}
+work=$(grep -o '[0-9][0-9.]*s work' "$stages" | sed 's/s work$//')
+set -- "$(stage 'compile+trace')" "$(stage predict)" "$(stage time)" \
+    "$(stage cross-check)" "$(stage value-flow)" "$(stage characterize)"
 rm -f target/rebaseline_stages_*.txt
 {
     echo '{'
     echo '    "format": "lvp-bench-baseline/2",'
-    echo '    "command": "lvp bench --all --fast --threads 2 (cold disk cache)",'
+    echo '    "command": "lvp bench --all --fast --threads 2",'
     printf '    "runs_s": [%s],\n' "$(printf '%s\n' $runs | paste -sd, -)"
     printf '    "median_s": %s,\n' "$median"
     echo '    "median_run_stages_s": {'
@@ -129,8 +133,10 @@ rm -f target/rebaseline_stages_*.txt
     printf '        "predict": %s,\n' "$2"
     printf '        "time": %s,\n' "$3"
     printf '        "cross-check": %s,\n' "$4"
-    printf '        "work": %s\n' "$5"
+    printf '        "value-flow": %s,\n' "$5"
+    printf '        "characterize": %s,\n' "$6"
+    printf '        "work": %s\n' "$work"
     echo '    }'
     echo '}'
 } > BENCH_2.json
-echo "    wrote BENCH_2.json (median ${median}s; stages $1/$2/$3/$4s of $5s work)"
+echo "    wrote BENCH_2.json (median ${median}s; stages $1/$2/$3/$4/$5/$6s of ${work}s work)"

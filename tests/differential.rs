@@ -2,8 +2,8 @@
 //! identical to the interpreter (`Machine`) on every benchmark of the
 //! paper's 17-program suite, at every optimization level.
 //!
-//! "Identical" here is the full contract the disk cache and every
-//! downstream phase rely on:
+//! "Identical" here is the full contract every downstream phase relies
+//! on:
 //!
 //! * the same `TraceEntry` stream, entry for entry;
 //! * the same per-stage counters (`TraceStats`);
@@ -11,9 +11,8 @@
 //!   integer and 32 FP registers, the entire data/stack memory image);
 //! * the same output channel and checksum, matching the workload's
 //!   golden output;
-//! * byte-identical LVPT-v2 serialization, so content-addressed disk
-//!   cache keys remain valid regardless of which engine produced a
-//!   trace.
+//! * byte-identical LVPT-v2 serialization, so a trace file does not
+//!   depend on which engine produced it.
 
 use lvp::isa::{AsmProfile, FReg, Reg, DATA_BASE, MEM_SIZE};
 use lvp::lang::{compile_with, OptLevel};
