@@ -6,8 +6,11 @@ set -eu
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+# --all-features: the workspace has no features today, so this checks
+# the same code; a feature-gated target that cannot build offline then
+# fails here instead of sitting unbuilt.
 echo "==> cargo clippy (deny warnings)"
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --workspace --all-targets --all-features -- -D warnings
 
 # The workspace suite includes the engine-differential oracle (both
 # simulation engines over all 17 benchmarks x {O0,O1}, the committed

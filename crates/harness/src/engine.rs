@@ -25,9 +25,6 @@ pub const FAST_WORKLOADS: [&str; 4] = ["sc", "xlisp", "grep", "doduc"];
 /// opt)`, simulate to completion, collect the trace, and validate the
 /// output against the workload's golden values.
 ///
-/// This is the non-panicking replacement for the old `lvp-bench`
-/// `workload_trace` free function.
-///
 /// # Errors
 ///
 /// Returns [`HarnessError`] (phase [`Phase::Trace`]) if compilation

@@ -6,8 +6,8 @@ use crate::plan::{ExperimentPlan, MachineModel};
 use crate::report::{geo_mean, Cell, ExperimentTable, Report};
 use lvp_lang::OptLevel;
 use lvp_predictor::{
-    evaluate_predictor, presets, BhrIndexedPredictor, FcmPredictor, LastValuePredictor,
-    LoadProfiler, LocalityMeter, LvpConfig, StridePredictor, ValuePredictor,
+    presets, BhrIndexedPredictor, ContextBackend, LoadProfiler, LocalityMeter, LvpConfig, Lvpt,
+    StridePredictor,
 };
 use lvp_trace::OpKind;
 use lvp_uarch::{dataflow_limit, LatencyTable, Ppc620Config};
@@ -134,21 +134,14 @@ pub(super) fn ablation_stride(engine: &Engine) -> Result<Report, HarnessError> {
         .workloads(engine.suite().to_vec())
         .map(|job, ctx| {
             let run = ctx.job_run(job)?;
-            let mut lv = LastValuePredictor::new(1024);
-            let e_lv = evaluate_predictor(&mut lv, &run.trace);
+            // One walk drives all four tables: loads predict then train,
+            // and conditional branches feed the BHR-indexed table's
+            // history register.
+            let mut lv = Lvpt::new(presets::simple().lvpt);
             let mut st = StridePredictor::new(1024);
-            let e_st = evaluate_predictor(&mut st, &run.trace);
-            let mut fcm = FcmPredictor::new(1024, 16384);
-            let e_fcm = evaluate_predictor(&mut fcm, &run.trace);
-
-            // The BHR-indexed predictor needs branch outcomes interleaved,
-            // so it is driven manually; the same pass computes the any-of-4
-            // oracle bound.
+            let mut fcm = ContextBackend::<2>::new(1024);
             let mut bhr = BhrIndexedPredictor::new(4096, 4);
-            let mut lv2 = LastValuePredictor::new(1024);
-            let mut st2 = StridePredictor::new(1024);
-            let mut fcm2 = FcmPredictor::new(1024, 16384);
-            let (mut bhr_correct, mut any_correct, mut loads) = (0u64, 0u64, 0u64);
+            let (mut correct, mut any_correct, mut loads) = ([0u64; 4], 0u64, 0u64);
             for e in run.trace.iter() {
                 if e.kind == OpKind::CondBranch {
                     let taken = e.branch.expect("branch outcome").taken;
@@ -160,23 +153,28 @@ pub(super) fn ablation_stride(engine: &Engine) -> Result<Report, HarnessError> {
                 }
                 let Some(mem) = e.mem else { continue };
                 loads += 1;
-                let b = bhr.predict(e.pc) == Some(mem.value);
-                let others = lv2.predict(e.pc) == Some(mem.value)
-                    || st2.predict(e.pc) == Some(mem.value)
-                    || fcm2.predict(e.pc) == Some(mem.value);
-                bhr_correct += b as u64;
-                any_correct += (b || others) as u64;
+                let hits = [
+                    lv.predict(e.pc) == Some(mem.value),
+                    st.predict(e.pc) == Some(mem.value),
+                    fcm.predict(e.pc) == Some(mem.value),
+                    bhr.predict(e.pc) == Some(mem.value),
+                ];
+                for (c, hit) in correct.iter_mut().zip(hits) {
+                    *c += hit as u64;
+                }
+                any_correct += hits.contains(&true) as u64;
+                lv.update(e.pc, mem.value);
+                st.train(e.pc, mem.value);
+                fcm.train(e.pc, mem.value);
                 bhr.train(e.pc, mem.value);
-                lv2.train(e.pc, mem.value);
-                st2.train(e.pc, mem.value);
-                fcm2.train(e.pc, mem.value);
             }
+            let rate = |c: u64| c as f64 / loads.max(1) as f64;
             Ok([
-                e_lv.hit_rate(),
-                e_st.hit_rate(),
-                e_fcm.hit_rate(),
-                bhr_correct as f64 / loads.max(1) as f64,
-                any_correct as f64 / loads.max(1) as f64,
+                rate(correct[0]),
+                rate(correct[1]),
+                rate(correct[2]),
+                rate(correct[3]),
+                rate(any_correct),
             ])
         });
     let results = engine.run(plan)?;

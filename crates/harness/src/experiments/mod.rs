@@ -2,11 +2,10 @@
 //! evaluation as a named, declarative plan over the engine.
 //!
 //! Each experiment is a function from an [`Engine`] to a [`Report`]; the
-//! registry maps the historical binary names (`table1`, `fig6`,
-//! `ablation_lvpt`, ...) to those functions so that one process — `lvp
-//! bench --all` — can run any subset while sharing every trace,
-//! annotation and timing simulation through the engine's caches. The
-//! per-experiment binaries are one-line wrappers over [`bin_main`].
+//! registry maps names (`table1`, `fig6`, `ablation_lvpt`, ...) to those
+//! functions so that one process — `lvp bench <name>...` or `lvp bench
+//! --all` — can run any subset while sharing every trace, annotation and
+//! timing simulation through the engine's caches.
 
 mod ablations;
 mod characterize;
@@ -24,7 +23,7 @@ use lvp_predictor::AddressRanges;
 
 /// One registered experiment.
 pub struct ExperimentDef {
-    /// Registry name — also the name of the standalone binary.
+    /// Registry name, as given to `lvp bench`.
     pub name: &'static str,
     /// One-line description shown by `lvp bench` listings.
     pub title: &'static str,
@@ -159,24 +158,6 @@ pub fn experiments() -> &'static [ExperimentDef] {
 /// Looks up one experiment by its registry name.
 pub fn experiment(name: &str) -> Option<&'static ExperimentDef> {
     REGISTRY.iter().find(|d| d.name == name)
-}
-
-/// Entry point shared by the per-experiment binaries: runs `name` on a
-/// full-suite engine and prints the text report, exiting nonzero with
-/// the failing workload and phase on error.
-pub fn bin_main(name: &str) {
-    let Some(def) = experiment(name) else {
-        eprintln!("unknown experiment `{name}`");
-        std::process::exit(2);
-    };
-    let engine = Engine::new();
-    match (def.run)(&engine) {
-        Ok(report) => print!("{}", report.render_text()),
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 /// Builds the Figure 2 value classifier from a program's layout.

@@ -1,8 +1,6 @@
 //! # lvp-harness — the experiment engine
 //!
-//! A typed, parallel, trace-caching harness for the paper's evaluation.
-//! It replaces the ad-hoc per-binary plumbing that `lvp-bench` grew up
-//! with:
+//! A typed, parallel, trace-caching harness for the paper's evaluation:
 //!
 //! * [`ExperimentPlan`] — a builder describing a job matrix over
 //!   (workload × [`AsmProfile`](lvp_isa::AsmProfile) ×
@@ -19,8 +17,7 @@
 //!   one renderer ([`Report::render_text`]), CSV another.
 //! * [`experiments`] — the registry of all paper experiments (tables,
 //!   figures, ablations), each a thin declarative plan. The `lvp bench`
-//!   subcommand and the per-experiment binaries both dispatch through
-//!   it.
+//!   subcommand dispatches through it.
 //!
 //! ## Pipeline
 //!
@@ -65,10 +62,7 @@ pub use perf::{
     Regression,
 };
 pub use plan::{ExperimentPlan, JobSpec, MachineModel, Plan};
-pub use report::{
-    geo_mean, pct, pct1, speedup, Cell, ExperimentRow, ExperimentTable, Report, Section,
-    TablePrinter,
-};
+pub use report::{geo_mean, Cell, ExperimentRow, ExperimentTable, Report, Section, TablePrinter};
 pub use valueflow::{
     static_hints, value_flow_check, value_flow_check_with, ValueFlowCheckReport,
     ValueFlowViolation, ValueFlowViolationKind, MIN_EXECUTIONS, STRIDE_ACCURACY_FLOOR,

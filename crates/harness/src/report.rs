@@ -10,10 +10,9 @@ use std::fmt;
 
 /// One typed cell of an experiment row.
 ///
-/// Percentage cells hold *fractions* (0.856 renders as `86%` / `85.7%`),
-/// matching the [`pct`]/[`pct1`] helpers. [`Cell::Text`] doubles as the
-/// escape hatch for pre-formatted values whose exact float expression
-/// must be preserved.
+/// Percentage cells hold *fractions* (0.856 renders as `86%` / `85.7%`).
+/// [`Cell::Text`] doubles as the escape hatch for pre-formatted values
+/// whose exact float expression must be preserved.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Cell {
     /// Label or pre-formatted text.
@@ -207,8 +206,7 @@ impl Report {
     }
 }
 
-/// Minimal fixed-width table printer — the text renderer's core, kept
-/// API-compatible with the original `lvp-bench` version.
+/// Minimal fixed-width table printer — the text renderer's core.
 #[derive(Debug, Default)]
 pub struct TablePrinter {
     headers: Vec<String>,
@@ -284,21 +282,6 @@ pub fn geo_mean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// Formats a ratio as a percentage with no decimals (paper style).
-pub fn pct(x: f64) -> String {
-    format!("{:.0}%", 100.0 * x)
-}
-
-/// Formats a ratio as a percentage with one decimal.
-pub fn pct1(x: f64) -> String {
-    format!("{:.1}%", 100.0 * x)
-}
-
-/// Formats a speedup with three decimals (paper's Table 6 style).
-pub fn speedup(x: f64) -> String {
-    format!("{x:.3}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,10 +313,10 @@ mod tests {
     }
 
     #[test]
-    fn cells_render_like_the_helpers() {
-        assert_eq!(Cell::Pct(0.856).render(), pct(0.856));
-        assert_eq!(Cell::Pct1(0.8567).render(), pct1(0.8567));
-        assert_eq!(Cell::Fixed(1.0567, 3).render(), speedup(1.0567));
+    fn cells_render_paper_formats() {
+        assert_eq!(Cell::Pct(0.856).render(), "86%");
+        assert_eq!(Cell::Pct1(0.8567).render(), "85.7%");
+        assert_eq!(Cell::Fixed(1.0567, 3).render(), "1.057");
         assert_eq!(Cell::Millions(2_330_000).render(), "2.33M");
         assert_eq!(Cell::Count(42).render(), "42");
         assert_eq!(Cell::Dash.render(), "-");

@@ -52,8 +52,8 @@ use lvp_analyze::{
 };
 use lvp_isa::Program;
 use lvp_predictor::{
-    evaluate_predictor_by_pc, presets, Backend, HintTable, Lct, LctConfig, LoadClass, PredEval,
-    PredictorKind, StaticHint, StridePredictor,
+    presets, Backend, HintTable, Lct, LctConfig, LoadClass, PredEval, PredictorKind, StaticHint,
+    StridePredictor,
 };
 use lvp_trace::{OpKind, Trace};
 use std::collections::{BTreeMap, BTreeSet};
@@ -262,6 +262,31 @@ pub fn static_hints(report: &ValueFlowReport) -> HintTable {
     )
 }
 
+/// Replays every load of `trace` through one shared [`StridePredictor`]
+/// table, predicting before training, and splits the tallies per load
+/// pc — aliasing between pcs shows up exactly as it would in hardware,
+/// only the bookkeeping is per pc.
+fn eval_stride_by_pc(trace: &Trace) -> BTreeMap<u64, PredEval> {
+    let mut stride = StridePredictor::new(TABLE_ENTRIES);
+    let mut by_pc: BTreeMap<u64, PredEval> = BTreeMap::new();
+    for e in trace.iter() {
+        if !e.is_load() {
+            continue;
+        }
+        let Some(mem) = e.mem else { continue };
+        let eval = by_pc.entry(e.pc).or_default();
+        eval.loads += 1;
+        if let Some(p) = stride.predict(e.pc) {
+            eval.predicted += 1;
+            if p == mem.value {
+                eval.correct += 1;
+            }
+        }
+        stride.train(e.pc, mem.value);
+    }
+    by_pc
+}
+
 /// Replays `trace` through one predictor backend (stores feed
 /// [`Backend::on_store`], loads predict-then-train) and splits the
 /// prediction tallies per load pc.
@@ -310,8 +335,7 @@ pub fn value_flow_check_with(
     cell: String,
 ) -> ValueFlowCheckReport {
     // --- Dynamic stride tallies per pc (shared table, per-pc split). ---
-    let mut stride = StridePredictor::new(TABLE_ENTRIES);
-    let by_pc = evaluate_predictor_by_pc(&mut stride, trace);
+    let by_pc = eval_stride_by_pc(trace);
 
     // --- The claims under trial. ---
     let affine: BTreeMap<u64, i64> = report.affine_claims().into_iter().collect();
@@ -490,6 +514,41 @@ mod tests {
         let mut m = Machine::new(&p);
         let t = m.run_traced(10_000_000).unwrap();
         (p, t)
+    }
+
+    #[test]
+    fn per_pc_stride_tallies_split_one_shared_table() {
+        // Interleave a strided load at one pc with a constant load at
+        // another; the per-pc tallies must separate them and sum to the
+        // tallies of one aggregate replay.
+        use lvp_trace::{MemAccess, TraceEntry};
+        let load = |pc: u64, value: u64| {
+            let mut e = TraceEntry::simple(pc, OpKind::Load);
+            e.mem = Some(MemAccess {
+                addr: 0x10_0000,
+                width: 8,
+                value,
+                fp: false,
+            });
+            e
+        };
+        let t: Trace = (0..50u64)
+            .flat_map(|i| [load(0x10000, 8 * i), load(0x10040, 7)])
+            .collect();
+        let by_pc = eval_stride_by_pc(&t);
+        assert_eq!(by_pc.len(), 2);
+        assert_eq!(by_pc[&0x10000].loads, 50);
+        assert_eq!(by_pc[&0x10040].loads, 50);
+        assert!(by_pc[&0x10000].hit_rate() > 0.9);
+        assert!(by_pc[&0x10040].hit_rate() > 0.9);
+        let mut aggregate = StridePredictor::new(TABLE_ENTRIES);
+        let mut correct = 0;
+        for e in t.iter() {
+            let value = e.mem.unwrap().value;
+            correct += (aggregate.predict(e.pc) == Some(value)) as u64;
+            aggregate.train(e.pc, value);
+        }
+        assert_eq!(by_pc.values().map(|e| e.correct).sum::<u64>(), correct);
     }
 
     /// A global counter bumped by a constant each iteration: the memory

@@ -82,7 +82,7 @@ fn fast_rows(text: &str) -> Vec<Vec<String>> {
 #[test]
 fn fast_subset_matches_committed_results() {
     let engine = Engine::fast().with_threads(4);
-    for name in ["table1", "fig1", "fig6"] {
+    for name in ["table1", "fig1", "fig6", "ablation_stride"] {
         let rendered = run_named(&engine, name);
         let golden_path = format!("{}/../../results/{name}.txt", env!("CARGO_MANIFEST_DIR"));
         let golden = std::fs::read_to_string(&golden_path)

@@ -1162,7 +1162,7 @@ impl Pass1 {
         // name, name+int, name-int
         if let Some((sym, addend)) = split_sym_addend(text) {
             if let Some(&v) = self.equs.get(&sym) {
-                return Ok(v + addend);
+                return Ok(v.wrapping_add(addend));
             }
         }
         Err(AsmError::new(
@@ -1303,9 +1303,12 @@ fn parse_int(s: &str) -> Option<i64> {
     } else if let Some(bin) = body.strip_prefix("0b") {
         i64::from_str_radix(bin, 2).ok()?
     } else {
-        body.parse::<i64>().ok()?
+        // Parse the magnitude wider than i64 so that i64::MIN, whose
+        // magnitude has no positive i64, is accepted.
+        let v = body.parse::<i128>().ok()?;
+        return i64::try_from(if neg { -v } else { v }).ok();
     };
-    Some(if neg { -v } else { v })
+    Some(if neg { v.wrapping_neg() } else { v })
 }
 
 /// Splits `symbol`, `symbol+N`, or `symbol-N`.
@@ -1321,7 +1324,7 @@ fn split_sym_addend(s: &str) -> Option<(String, i64)> {
         if minus > 0 {
             let (name, num) = (s[..minus].trim(), s[minus + 1..].trim());
             if is_ident(name) {
-                return Some((name.to_string(), -parse_int(num)?));
+                return Some((name.to_string(), parse_int(num)?.wrapping_neg()));
             }
         }
     }
@@ -1465,6 +1468,21 @@ mod tests {
                 }
             }
             assert_eq!(val, v, "li {v} materialized wrong value");
+        }
+    }
+
+    #[test]
+    fn li_accepts_the_full_i64_range() {
+        // The optimizer can fold a constant to i64::MIN, whose decimal
+        // magnitude does not fit an i64.
+        for v in [i64::MIN, i64::MIN + 1, i64::MAX] {
+            let p = asm(AsmProfile::Gp, &format!("main: li t0, {v}\n halt\n"));
+            let pool_off = (p.pool_base() - DATA_BASE) as usize;
+            let word = i64::from_le_bytes(p.data()[pool_off..pool_off + 8].try_into().unwrap());
+            assert_eq!(word, v);
+        }
+        for bad in ["-9223372036854775809", "9223372036854775808"] {
+            assert!(parse_int(bad).is_none(), "{bad} must not parse");
         }
     }
 

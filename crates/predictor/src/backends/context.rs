@@ -1,18 +1,24 @@
-//! Order-4 finite-context-method backend.
+//! Two-level finite-context-method backend, order 4 by default.
 
 use crate::index::{fnv1a, table_mask, word_index};
 
-/// Values hashed into the level-1 context.
-const ORDER: usize = 4;
-
-#[derive(Debug, Clone, Default)]
-struct Level1 {
-    /// Last [`ORDER`] values seen, newest first.
+#[derive(Debug, Clone)]
+struct Level1<const ORDER: usize> {
+    /// Last `ORDER` values seen, newest first.
     recent: [u64; ORDER],
     seen: u8,
 }
 
-impl Level1 {
+impl<const ORDER: usize> Default for Level1<ORDER> {
+    fn default() -> Self {
+        Level1 {
+            recent: [0; ORDER],
+            seen: 0,
+        }
+    }
+}
+
+impl<const ORDER: usize> Level1<ORDER> {
     #[inline]
     fn context_hash(&self) -> Option<u64> {
         ((self.seen as usize) >= ORDER).then(|| fnv1a(&self.recent))
@@ -26,25 +32,26 @@ impl Level1 {
     }
 }
 
-/// A two-level order-4 finite-context-method backend: level 1 (per load
-/// PC, direct-mapped) keeps the last four values; level 2 (shared,
+/// A two-level finite-context-method backend: level 1 (per load PC,
+/// direct-mapped) keeps the last `ORDER` values; level 2 (shared,
 /// hash-indexed) maps that value context to the value that followed it
 /// last time. Catches arbitrary repeating value sequences — a pointer
 /// walking a cyclic structure, a state machine's output — that neither
 /// last-value nor stride prediction can express.
 ///
-/// Grown from the order-2 [`crate::FcmPredictor`] ablation predictor;
-/// both levels index through the shared [`crate::index`] helpers so a
-/// table-geometry sweep means the same thing here as in the LVPT.
+/// The zoo's [`crate::PredictorKind::Context`] runs the default order 4;
+/// the predictor-family ablation runs order 2. Both levels index
+/// through the shared [`crate::index`] helpers so a table-geometry
+/// sweep means the same thing here as in the LVPT.
 #[derive(Debug, Clone)]
-pub struct ContextBackend {
-    level1: Vec<Level1>,
+pub struct ContextBackend<const ORDER: usize = 4> {
+    level1: Vec<Level1<ORDER>>,
     l1_mask: usize,
     level2: Vec<Option<u64>>,
     l2_mask: usize,
 }
 
-impl ContextBackend {
+impl<const ORDER: usize> ContextBackend<ORDER> {
     /// Level-2 slots per level-1 slot: the shared value table is larger
     /// than the per-PC context table so distinct contexts rarely clash.
     const L2_FACTOR: usize = 16;
@@ -55,7 +62,7 @@ impl ContextBackend {
     /// # Panics
     ///
     /// Panics if `entries` is not a power of two.
-    pub fn new(entries: usize) -> ContextBackend {
+    pub fn new(entries: usize) -> ContextBackend<ORDER> {
         let l2_entries = entries * Self::L2_FACTOR;
         ContextBackend {
             level1: vec![Level1::default(); entries],
@@ -98,18 +105,22 @@ mod tests {
 
     const PC: u64 = 0x1000;
 
-    fn run(p: &mut ContextBackend, values: &[u64]) -> (u64, u64) {
-        let (mut predicted, mut correct) = (0, 0);
+    /// Correct predictions over `values`, predicting before training.
+    fn correct<const ORDER: usize>(mut p: ContextBackend<ORDER>, values: &[u64]) -> u64 {
+        let mut correct = 0;
         for &v in values {
-            if let Some(pred) = p.predict(PC) {
-                predicted += 1;
-                if pred == v {
-                    correct += 1;
-                }
-            }
+            correct += (p.predict(PC) == Some(v)) as u64;
             p.train(PC, v);
         }
-        (predicted, correct)
+        correct
+    }
+
+    /// Correct predictions over `values` at orders 2 and 4.
+    fn correct_at_both_orders(values: &[u64]) -> [u64; 2] {
+        [
+            correct(ContextBackend::<2>::new(64), values),
+            correct(ContextBackend::<4>::new(64), values),
+        ]
     }
 
     #[test]
@@ -118,27 +129,27 @@ mod tests {
         // irregular, but the sequence repeats exactly.
         let ring = [0x8000u64, 0x8040, 0x9000, 0x8020, 0xa000];
         let values: Vec<u64> = (0..200).map(|i| ring[i % ring.len()]).collect();
-        let mut p = ContextBackend::new(64);
-        let (_, correct) = run(&mut p, &values);
-        assert!(correct > 180, "correct {correct}");
+        for correct in correct_at_both_orders(&values) {
+            assert!(correct > 180, "correct {correct}");
+        }
     }
 
     #[test]
     fn handles_constants() {
-        let mut p = ContextBackend::new(64);
-        let (_, correct) = run(&mut p, &vec![7u64; 100]);
-        assert!(correct > 90, "correct {correct}");
+        for correct in correct_at_both_orders(&[7u64; 100]) {
+            assert!(correct > 90, "correct {correct}");
+        }
     }
 
     #[test]
     fn cold_start_predicts_nothing() {
-        let p = ContextBackend::new(64);
-        assert_eq!(p.predict(PC), None);
+        assert_eq!(ContextBackend::<2>::new(64).predict(PC), None);
+        assert_eq!(ContextBackend::<4>::new(64).predict(PC), None);
     }
 
     #[test]
     fn needs_order_4_warmup() {
-        let mut p = ContextBackend::new(64);
+        let mut p: ContextBackend = ContextBackend::new(64);
         for v in [1u64, 2, 3] {
             p.train(PC, v);
         }
@@ -150,7 +161,7 @@ mod tests {
 
     #[test]
     fn train_reports_prediction_changes() {
-        let mut p = ContextBackend::new(64);
+        let mut p: ContextBackend = ContextBackend::new(64);
         for v in [7u64, 7, 7, 7] {
             p.train(PC, v);
         }

@@ -20,7 +20,8 @@ struct Entry {
 /// seen twice in a row. One wild value (a pointer re-seated, a loop
 /// restarting) therefore never destroys a learned stride — the classic
 /// two-delta filter of stride prediction literature, and the difference
-/// from the simpler ablation-only [`crate::StridePredictor`].
+/// from the one-delta [`crate::StridePredictor`] that the value-flow
+/// oracle judges stride claims against.
 ///
 /// A constant load is the `stride == 0` special case, so this backend
 /// subsumes last-value prediction on stable values (and the CVU can

@@ -24,8 +24,10 @@
 //!   unit's hot path;
 //! * [`LocalityMeter`] — the Figures 1 and 2 measurement: value locality
 //!   at history depths 1 and 16, overall and by value class;
-//! * [`ValuePredictor`], [`StridePredictor`] — the lightweight
-//!   trace-replay predictors used by the ablation benches.
+//! * [`StridePredictor`], [`BhrIndexedPredictor`] — two future-work
+//!   predictors kept outside the zoo: the one-delta stride reference of
+//!   the value-flow oracle and the branch-history-indexed value table,
+//!   both reported by the predictor-family ablation.
 //!
 //! # Examples
 //!
@@ -44,9 +46,9 @@
 
 mod analysis;
 mod backends;
+mod bhr;
 pub mod characterize;
 mod config;
-mod context;
 mod cvu;
 mod hints;
 mod index;
@@ -60,16 +62,13 @@ mod unit;
 
 pub use analysis::{LoadProfiler, StaticLoadStats};
 pub use backends::{ContextBackend, HybridBackend, StoreToLoadBackend, TwoDeltaStrideBackend};
+pub use bhr::BhrIndexedPredictor;
 pub use config::{CvuConfig, LctConfig, LvpConfig, LvpConfigBuilder, LvptConfig};
-pub use context::{BhrIndexedPredictor, FcmPredictor};
 pub use cvu::{Cvu, CvuVictim};
 pub use hints::{HintError, HintTable, StaticHint, HINT_MAGIC, HINT_VERSION, MAX_CONFIDENCE};
 pub use lct::{Lct, LoadClass};
 pub use locality::{AddressRanges, LocalityMeter, ValueClass};
 pub use lvpt::Lvpt;
 pub use predictor::{Backend, PredictorKind, UnknownPredictorKind};
-pub use stride::{
-    evaluate_predictor, evaluate_predictor_by_pc, LastValuePredictor, PredEval, StridePredictor,
-    ValuePredictor,
-};
+pub use stride::{PredEval, StridePredictor};
 pub use unit::{ConstantMispredict, CvuEventLog, CvuInvalidation, LvpStats, LvpUnit};

@@ -1,59 +1,14 @@
-//! Predictor extensions from the paper's future-work list ("moving beyond
-//! history-based prediction to computed predictions through techniques
-//! like value stride detection").
+//! The reference stride predictor and the prediction tallies it reports.
+//!
+//! [`StridePredictor`] is the simple one-delta stride table of the
+//! paper's future-work list ("computed predictions through techniques
+//! like value stride detection"). It stays outside the
+//! [`crate::Backend`] zoo: the value-flow oracle's `StrideMiss` check
+//! judges affine-stride claims against it, and the predictor-family
+//! ablation reports it next to the zoo's two-delta
+//! [`crate::TwoDeltaStrideBackend`].
 
-use crate::config::LvptConfig;
 use crate::index::{table_mask, word_index};
-use crate::lvpt::Lvpt;
-use lvp_trace::Trace;
-
-/// A pluggable value predictor, used by the ablation benches to compare
-/// the paper's history-based LVPT against computed predictors.
-pub trait ValuePredictor {
-    /// Predicted register value for the load at `pc`, if the predictor is
-    /// confident enough to predict at all.
-    fn predict(&self, pc: u64) -> Option<u64>;
-
-    /// Trains the predictor with the actual loaded value.
-    fn train(&mut self, pc: u64, actual: u64);
-
-    /// Short display name.
-    fn name(&self) -> &str;
-}
-
-/// The paper's baseline: predict the last value seen by this static load
-/// (an LVPT with history depth 1).
-#[derive(Debug, Clone)]
-pub struct LastValuePredictor {
-    lvpt: Lvpt,
-}
-
-impl LastValuePredictor {
-    /// Creates a last-value predictor with `entries` table slots.
-    pub fn new(entries: usize) -> LastValuePredictor {
-        LastValuePredictor {
-            lvpt: Lvpt::new(LvptConfig {
-                entries,
-                history_depth: 1,
-                perfect_selection: false,
-            }),
-        }
-    }
-}
-
-impl ValuePredictor for LastValuePredictor {
-    fn predict(&self, pc: u64) -> Option<u64> {
-        self.lvpt.predict(pc)
-    }
-
-    fn train(&mut self, pc: u64, actual: u64) {
-        self.lvpt.update(pc, actual);
-    }
-
-    fn name(&self) -> &str {
-        "last-value"
-    }
-}
 
 #[derive(Debug, Clone, Copy, Default)]
 struct StrideEntry {
@@ -91,15 +46,16 @@ impl StridePredictor {
     fn index(&self, pc: u64) -> usize {
         word_index(pc, self.mask)
     }
-}
 
-impl ValuePredictor for StridePredictor {
-    fn predict(&self, pc: u64) -> Option<u64> {
+    /// Predicted value for the load at `pc` (last value plus stride),
+    /// once the slot's stride has repeated.
+    pub fn predict(&self, pc: u64) -> Option<u64> {
         let e = &self.entries[self.index(pc)];
         (e.valid && e.confidence >= 1).then(|| e.last.wrapping_add(e.stride as u64))
     }
 
-    fn train(&mut self, pc: u64, actual: u64) {
+    /// Trains the slot of `pc` with the loaded value.
+    pub fn train(&mut self, pc: u64, actual: u64) {
         let idx = self.index(pc);
         let e = &mut self.entries[idx];
         if !e.valid {
@@ -121,13 +77,9 @@ impl ValuePredictor for StridePredictor {
         }
         e.last = actual;
     }
-
-    fn name(&self) -> &str {
-        "stride"
-    }
 }
 
-/// Result of evaluating a predictor over a trace.
+/// Prediction tallies of one predictor over a stream of loads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredEval {
     /// Dynamic loads observed.
@@ -167,90 +119,33 @@ impl PredEval {
     }
 }
 
-/// Runs `predictor` over every load of `trace` in program order,
-/// predicting before training, and tallies the results *per static
-/// load pc*.
-///
-/// This is the dynamic side of the static/dynamic cross-check: the
-/// value-flow analysis claims a per-pc predictability class, and the
-/// harness compares each claim against the per-pc stride outcome
-/// reported here. One shared predictor table is used (so aliasing
-/// between pcs shows up exactly as it would in hardware), but the
-/// tallies are split by the pc that issued each load.
-pub fn evaluate_predictor_by_pc<P: ValuePredictor + ?Sized>(
-    predictor: &mut P,
-    trace: &Trace,
-) -> std::collections::BTreeMap<u64, PredEval> {
-    let mut evals = std::collections::BTreeMap::new();
-    for entry in trace.iter() {
-        if !entry.is_load() {
-            continue;
-        }
-        let Some(mem) = entry.mem else { continue };
-        let eval: &mut PredEval = evals.entry(entry.pc).or_default();
-        eval.loads += 1;
-        if let Some(p) = predictor.predict(entry.pc) {
-            eval.predicted += 1;
-            if p == mem.value {
-                eval.correct += 1;
-            }
-        }
-        predictor.train(entry.pc, mem.value);
-    }
-    evals
-}
-
-/// Runs `predictor` over every load of `trace` in program order,
-/// predicting before training, and tallies the results.
-pub fn evaluate_predictor<P: ValuePredictor + ?Sized>(
-    predictor: &mut P,
-    trace: &Trace,
-) -> PredEval {
-    let mut eval = PredEval::default();
-    for entry in trace.iter() {
-        if !entry.is_load() {
-            continue;
-        }
-        let Some(mem) = entry.mem else { continue };
-        eval.loads += 1;
-        if let Some(p) = predictor.predict(entry.pc) {
-            eval.predicted += 1;
-            if p == mem.value {
-                eval.correct += 1;
-            }
-        }
-        predictor.train(entry.pc, mem.value);
-    }
-    eval
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lvp_trace::{MemAccess, OpKind, TraceEntry};
+    use crate::{Lvpt, LvptConfig};
 
-    fn trace_of_values(values: &[u64]) -> Trace {
-        values
-            .iter()
-            .map(|&v| {
-                let mut e = TraceEntry::simple(0x10000, OpKind::Load);
-                e.mem = Some(MemAccess {
-                    addr: 0x10_0000,
-                    width: 8,
-                    value: v,
-                    fp: false,
-                });
-                e
-            })
-            .collect()
+    const PC: u64 = 0x10000;
+
+    /// Replays `values` at one pc through a 64-entry stride table,
+    /// predicting before training.
+    fn stride_eval(values: &[u64]) -> PredEval {
+        let mut p = StridePredictor::new(64);
+        let mut e = PredEval::default();
+        for &v in values {
+            e.loads += 1;
+            if let Some(pred) = p.predict(PC) {
+                e.predicted += 1;
+                e.correct += (pred == v) as u64;
+            }
+            p.train(PC, v);
+        }
+        e
     }
 
     #[test]
     fn stride_learns_arithmetic_sequences() {
         let values: Vec<u64> = (0..100).map(|i| 1000 + 8 * i).collect();
-        let t = trace_of_values(&values);
-        let mut p = StridePredictor::new(64);
-        let eval = evaluate_predictor(&mut p, &t);
+        let eval = stride_eval(&values);
         assert!(
             eval.hit_rate() > 0.9,
             "stride hit rate {:.2}",
@@ -260,73 +155,40 @@ mod tests {
 
     #[test]
     fn last_value_fails_on_strides_but_wins_on_constants() {
+        let hit_rate = |values: &[u64]| {
+            let mut lvpt = Lvpt::new(LvptConfig {
+                entries: 64,
+                history_depth: 1,
+                perfect_selection: false,
+            });
+            let hits = values
+                .iter()
+                .filter(|&&v| {
+                    let hit = lvpt.predict(PC) == Some(v);
+                    lvpt.update(PC, v);
+                    hit
+                })
+                .count();
+            hits as f64 / values.len() as f64
+        };
         let strided: Vec<u64> = (0..100).map(|i| 8 * i).collect();
-        let constant = vec![7u64; 100];
-        let mut lv = LastValuePredictor::new(64);
-        let e1 = evaluate_predictor(&mut lv, &trace_of_values(&strided));
-        assert!(e1.hit_rate() < 0.05);
-        let mut lv2 = LastValuePredictor::new(64);
-        let e2 = evaluate_predictor(&mut lv2, &trace_of_values(&constant));
-        assert!(e2.hit_rate() > 0.95);
+        assert!(hit_rate(&strided) < 0.05);
+        assert!(hit_rate(&[7u64; 100]) > 0.95);
     }
 
     #[test]
     fn stride_handles_constants_too() {
         // A constant sequence is a stride of zero.
-        let mut p = StridePredictor::new(64);
-        let eval = evaluate_predictor(&mut p, &trace_of_values(&vec![7u64; 100]));
-        assert!(eval.hit_rate() > 0.9);
+        assert!(stride_eval(&[7u64; 100]).hit_rate() > 0.9);
     }
 
     #[test]
     fn stride_recovers_after_pattern_change() {
         let mut values: Vec<u64> = (0..50).map(|i| 8 * i).collect();
         values.extend((0..50).map(|i| 100_000 + 16 * i));
-        let mut p = StridePredictor::new(64);
-        let eval = evaluate_predictor(&mut p, &trace_of_values(&values));
+        let eval = stride_eval(&values);
         // Loses a few transitions but re-learns the new stride.
         assert!(eval.hit_rate() > 0.8, "hit rate {:.2}", eval.hit_rate());
-    }
-
-    #[test]
-    fn per_pc_eval_splits_tallies_and_sums_to_total() {
-        // Interleave a strided load at one pc with a constant load at
-        // another; per-pc tallies must separate them and sum to the
-        // aggregate numbers.
-        let mut entries = Vec::new();
-        for i in 0..50u64 {
-            let mut a = TraceEntry::simple(0x10000, OpKind::Load);
-            a.mem = Some(MemAccess {
-                addr: 0x10_0000,
-                width: 8,
-                value: 8 * i,
-                fp: false,
-            });
-            entries.push(a);
-            let mut b = TraceEntry::simple(0x10040, OpKind::Load);
-            b.mem = Some(MemAccess {
-                addr: 0x10_0800,
-                width: 8,
-                value: 7,
-                fp: false,
-            });
-            entries.push(b);
-        }
-        let t: Trace = entries.into_iter().collect();
-        let mut p = StridePredictor::new(64);
-        let by_pc = evaluate_predictor_by_pc(&mut p, &t);
-        assert_eq!(by_pc.len(), 2);
-        assert_eq!(by_pc[&0x10000].loads, 50);
-        assert_eq!(by_pc[&0x10040].loads, 50);
-        assert!(by_pc[&0x10000].hit_rate() > 0.9);
-        assert!(by_pc[&0x10040].hit_rate() > 0.9);
-        let mut q = StridePredictor::new(64);
-        let total = evaluate_predictor(&mut q, &t);
-        assert_eq!(total.loads, by_pc.values().map(|e| e.loads).sum::<u64>());
-        assert_eq!(
-            total.correct,
-            by_pc.values().map(|e| e.correct).sum::<u64>()
-        );
     }
 
     #[test]
@@ -339,18 +201,5 @@ mod tests {
         assert!((e.coverage() - 0.5).abs() < 1e-12);
         assert!((e.accuracy() - 0.8).abs() < 1e-12);
         assert!((e.hit_rate() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trait_objects_work() {
-        let mut predictors: Vec<Box<dyn ValuePredictor>> = vec![
-            Box::new(LastValuePredictor::new(16)),
-            Box::new(StridePredictor::new(16)),
-        ];
-        let t = trace_of_values(&[1, 1, 1]);
-        for p in predictors.iter_mut() {
-            let eval = evaluate_predictor(p.as_mut(), &t);
-            assert_eq!(eval.loads, 3, "{}", p.name());
-        }
     }
 }

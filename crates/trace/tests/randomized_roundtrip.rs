@@ -1,7 +1,7 @@
-//! Seeded, hand-rolled randomized roundtrip tests for the binary trace
-//! format (no external property-testing dependency, per the offline
-//! build rule), plus the v1 → v2 compatibility test against a committed
-//! fixture.
+//! Seeded, hand-rolled randomized roundtrip tests for the binary and
+//! text trace formats (no external property-testing dependency, per the
+//! offline build rule), plus the v1 → v2 compatibility test against a
+//! committed fixture.
 //!
 //! The generator first enumerates *every* combination of `OpKind` ×
 //! operand presence × memory variant (none / int / fp) × branch variant
@@ -11,8 +11,8 @@
 
 use lvp_trace::rng::Lcg;
 use lvp_trace::{
-    read_trace, write_trace, write_trace_v1, BranchEvent, MemAccess, OpKind, RegRef, Trace,
-    TraceEntry, TraceReader,
+    dump_text, parse_text, read_trace, write_trace, write_trace_v1, BranchEvent, MemAccess, OpKind,
+    RegRef, Trace, TraceEntry, TraceReader,
 };
 use std::path::PathBuf;
 
@@ -93,25 +93,30 @@ fn generated_trace() -> Trace {
 
     let mut rng = Lcg::new(SEED);
     while t.len() < 1024 {
-        let kind = OpKind::ALL[rng.below(OpKind::ALL.len() as u64) as usize];
-        t.push(TraceEntry {
-            pc: rng.next_full(),
-            kind,
-            dst: reg(rng.below(3), rng.next_full() as u8),
-            srcs: [
-                reg(rng.below(3), rng.next_full() as u8),
-                reg(rng.below(3), rng.next_full() as u8),
-            ],
-            mem: mem(
-                rng.below(3),
-                rng.next_full(),
-                rng.next_full(),
-                rng.next_full(),
-            ),
-            branch: branch(rng.below(3), rng.next_full()),
-        });
+        t.push(random_entry(&mut rng));
     }
     t
+}
+
+/// One record with every field drawn from `rng`.
+fn random_entry(rng: &mut Lcg) -> TraceEntry {
+    let kind = OpKind::ALL[rng.below(OpKind::ALL.len() as u64) as usize];
+    TraceEntry {
+        pc: rng.next_full(),
+        kind,
+        dst: reg(rng.below(3), rng.next_full() as u8),
+        srcs: [
+            reg(rng.below(3), rng.next_full() as u8),
+            reg(rng.below(3), rng.next_full() as u8),
+        ],
+        mem: mem(
+            rng.below(3),
+            rng.next_full(),
+            rng.next_full(),
+            rng.next_full(),
+        ),
+        branch: branch(rng.below(3), rng.next_full()),
+    }
 }
 
 #[test]
@@ -159,6 +164,56 @@ fn random_truncations_of_random_traces_never_panic() {
             read_trace(&buf[..len]).is_err(),
             "truncation to {len} bytes accepted"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Text format (`lvp trace pack` feeds user files to `parse_text`)
+// ---------------------------------------------------------------------
+
+/// Random inputs per text-format property.
+const TEXT_CASES: u64 = 256;
+
+#[test]
+fn text_round_trip_preserves_random_traces() {
+    let exhaustive = generated_trace();
+    let back = parse_text(&dump_text(&exhaustive)).unwrap();
+    assert_eq!(back.entries(), exhaustive.entries());
+
+    let mut rng = Lcg::new(SEED ^ 0x7e47);
+    for case in 0..TEXT_CASES {
+        let len = rng.below(200);
+        let trace: Trace = (0..len).map(|_| random_entry(&mut rng)).collect();
+        let back = parse_text(&dump_text(&trace)).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        assert_eq!(back.entries(), trace.entries(), "case {case}");
+    }
+}
+
+#[test]
+fn text_parser_never_panics_on_printable_garbage() {
+    let printable: Vec<u8> = (b' '..=b'~').chain([b'\n']).collect();
+    let dump = dump_text(&generated_trace());
+    let lines: Vec<&str> = dump.lines().collect();
+    let mut rng = Lcg::new(SEED ^ 0x6a7b);
+    for _ in 0..TEXT_CASES {
+        // Uniform printable noise.
+        let noise: Vec<u8> = (0..rng.below(401)).map(|_| *rng.pick(&printable)).collect();
+        let _ = parse_text(std::str::from_utf8(&noise).unwrap());
+
+        // A few valid lines with printable bytes overwritten, inserted
+        // or cut off, so the parser gets past the field split.
+        let start = rng.below(lines.len() as u64) as usize;
+        let end = (start + 1 + rng.below(8) as usize).min(lines.len());
+        let mut text = lines[start..end].join("\n").into_bytes();
+        for _ in 0..=rng.below(4) {
+            let at = rng.below(text.len() as u64 + 1) as usize;
+            match rng.below(3) {
+                0 if at < text.len() => text[at] = *rng.pick(&printable),
+                1 => text.insert(at, *rng.pick(&printable)),
+                _ => text.truncate(at),
+            }
+        }
+        let _ = parse_text(std::str::from_utf8(&text).unwrap());
     }
 }
 
