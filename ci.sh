@@ -126,7 +126,26 @@ cargo run --release -q -p lvp-cli -- trace verify "$trace_file" | grep -F 'check
 # cache counters, and fails if any experiment errors.
 echo "==> lvp bench --all --fast --threads 2"
 bench_out="$(cargo run --release -q -p lvp-cli -- bench --all --fast --threads 2)"
-printf '%s\n' "$bench_out" | grep -E '^\[|^engine:'
+printf '%s\n' "$bench_out" | grep -E '^\[|^engine:|^memory:'
+# Memory gate: the run's peak RSS must stay at or below 400 MB. Where
+# /proc is unavailable the line reads `peak rss n/a` and the check is
+# skipped.
+peak_rss="$(printf '%s\n' "$bench_out" | sed -n 's/^memory: peak rss \([0-9n/a]*\).*/\1/p')"
+case "$peak_rss" in
+'')
+    echo "ci: lvp bench printed no memory: line" >&2
+    exit 1
+    ;;
+n/a)
+    echo "ci: peak RSS unavailable (no /proc), memory gate skipped"
+    ;;
+*)
+    if [ "$peak_rss" -gt 400 ]; then
+        echo "ci: bench --all --fast peak RSS ${peak_rss} MB exceeds the 400 MB gate" >&2
+        exit 1
+    fi
+    ;;
+esac
 # `--all` includes the ablation_synth experiment: at least one synthetic
 # adversary must land >= 20pp below the suite's mean hybrid coverage, or
 # the generator has stopped producing genuinely hard value streams.

@@ -872,8 +872,8 @@ pub fn cmd_locality(target: &str, opts: &Options) -> Result<String, CliError> {
     let program = load_program_with(target, opts.profile, opts.opt)?;
     let (trace, _) = trace_program(&program, opts.engine)?;
     let mut meter = LocalityMeter::paper_default();
-    for e in trace.iter() {
-        meter.observe(e);
+    for e in &trace {
+        meter.observe(&e);
     }
     let mut out = format!(
         "{} dynamic loads\nvalue locality: {:.1}% at history depth 1, {:.1}% at depth 16\n",
@@ -939,8 +939,8 @@ pub fn cmd_profile(target: &str, opts: &Options) -> Result<String, CliError> {
     let program = load_program_with(target, opts.profile, opts.opt)?;
     let (trace, _) = trace_program(&program, opts.engine)?;
     let mut profiler = LoadProfiler::new();
-    for e in trace.iter() {
-        profiler.observe(e);
+    for e in &trace {
+        profiler.observe(&e);
     }
     let report = profiler.report();
     let mut out = format!(
@@ -1201,8 +1201,10 @@ fn bench_listing() -> String {
 /// `--all` selects the whole registry, `--csv` swaps the renderer.
 ///
 /// Each report is followed by a `[name: wall-time]` line and the run
-/// ends with an engine cache-counter summary, so CI logs show where the
-/// time went and that caching is effective.
+/// ends with an engine cache-counter summary, a per-stage time split
+/// and a `memory:` line (peak RSS and the cached traces' bytes), so CI
+/// logs show where the time and memory went and that caching is
+/// effective.
 ///
 /// # Errors
 ///
@@ -1282,7 +1284,28 @@ pub fn cmd_bench(names: &[String], opts: &Options) -> Result<String, CliError> {
         engine.threads(),
         if engine.threads() == 1 { "" } else { "s" },
     );
+    let peak = peak_rss_bytes().map_or("n/a".to_string(), |b| format!("{:.0} MB", b as f64 / 1e6));
+    let _ = writeln!(
+        out,
+        "memory: peak rss {peak}, traces {:.0} MB",
+        engine.trace_bytes() as f64 / 1e6
+    );
     Ok(out)
+}
+
+/// The process's peak resident set size (`VmHWM` in `/proc/self/status`),
+/// or `None` where that file cannot be read.
+fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse::<u64>()
+        .ok()?;
+    Some(kib * 1024)
 }
 
 /// `lvp characterize [names...]` — per-benchmark value-locality metrics
@@ -2034,6 +2057,47 @@ mod tests {
     }
 
     #[test]
+    fn trace_tools_reject_kind_inconsistent_records() {
+        // A checksum-valid file holding a load with no memory access and
+        // a branch with no branch event: the timing models would panic
+        // on it, so the reader must refuse it with a typed error.
+        use lvp_trace::{OpKind, TraceEntry};
+        let mut trace = Trace::new();
+        trace.push(TraceEntry::simple(0x10000, OpKind::Load));
+        trace.push(TraceEntry::simple(0x10004, OpKind::CondBranch));
+        let path = temp_file("inconsistent.lvpt");
+        let mut bytes = Vec::new();
+        lvp_trace::write_trace(&mut bytes, &trace).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+        let file = path.to_str().unwrap();
+        for err in [
+            cmd_trace_verify(file).unwrap_err(),
+            cmd_trace_unpack(file).unwrap_err(),
+        ] {
+            assert_eq!(err.exit_code(), 2, "{err}");
+            assert!(
+                err.to_string()
+                    .contains("corrupt trace record: load or store without a memory access"),
+                "{err}"
+            );
+        }
+
+        // The same records as a text dump fail to pack, at their line.
+        let text = dump_text(&trace);
+        assert!(text.contains("0x10000 load _ _,_ - -"), "{text}");
+        let text_path = temp_file("inconsistent.trace");
+        std::fs::write(&text_path, &text).unwrap();
+        let opts = Options {
+            out: Some(temp_file("never.lvpt").to_str().unwrap().to_string()),
+            ..Options::default()
+        };
+        let err = cmd_trace_pack(text_path.to_str().unwrap(), &opts).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(err.to_string().contains("line 2"), "{err}");
+        assert!(err.to_string().contains("memory access"), "{err}");
+    }
+
+    #[test]
     fn trace_pack_requires_out_and_tools_require_files() {
         let err = cmd_trace_pack("quick", &Options::default()).unwrap_err();
         assert!(err.to_string().contains("--out"), "{err}");
@@ -2076,6 +2140,18 @@ mod tests {
         );
         assert!(
             out.contains("value-flow 0.00s, characterize 0.00s"),
+            "{out}"
+        );
+        // The run ends with the stages line, then the memory line.
+        let last: Vec<&str> = out.lines().rev().take(2).collect();
+        assert!(last[1].starts_with("stages:"), "{out}");
+        let peak = last[0]
+            .strip_prefix("memory: peak rss ")
+            .and_then(|l| l.strip_suffix(", traces 0 MB"));
+        assert!(
+            peak.is_some_and(|p| p == "n/a"
+                || p.strip_suffix(" MB")
+                    .is_some_and(|n| n.parse::<u64>().is_ok())),
             "{out}"
         );
 

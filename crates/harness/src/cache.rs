@@ -191,6 +191,17 @@ impl<K: Eq + Hash + Clone, V> KeyedCache<K, V> {
     pub(crate) fn clear(&self) {
         self.slots.lock().expect("cache poisoned").clear();
     }
+
+    /// Sums `f` over the values cached so far; a slot still computing,
+    /// or holding an error, adds nothing.
+    pub(crate) fn sum_values(&self, f: impl Fn(&V) -> u64) -> u64 {
+        let slots = self.slots.lock().expect("cache poisoned");
+        slots
+            .values()
+            .filter_map(|slot| slot.get()?.as_deref().ok())
+            .map(f)
+            .sum()
+    }
 }
 
 /// The engine's cache layers and per-stage wall-time counters.
@@ -250,6 +261,11 @@ impl Cache {
             value_flow_ns: self.value_flow_ns.load(Ordering::Relaxed),
             characterize_ns: self.characterize_ns.load(Ordering::Relaxed),
         }
+    }
+
+    /// Bytes held by the cached traces' columns.
+    pub(crate) fn trace_bytes(&self) -> u64 {
+        self.traces.sum_values(|run| run.trace.heap_bytes() as u64)
     }
 
     /// Drops every cached trace, annotation and timing result (the

@@ -221,6 +221,12 @@ impl Engine {
         self.cache.stats()
     }
 
+    /// Bytes held by the traces cached so far: the sum of their
+    /// [`Trace::heap_bytes`](lvp_trace::Trace::heap_bytes).
+    pub fn trace_bytes(&self) -> u64 {
+        self.cache.trace_bytes()
+    }
+
     /// Drops all cached traces/annotations/timings to release memory;
     /// counters are preserved.
     pub fn clear_cache(&self) {

@@ -224,9 +224,9 @@ pub(super) fn ablation_opt(engine: &Engine) -> Result<Report, HarnessError> {
             let run = ctx.job_run(job)?;
             let mut meter = LocalityMeter::paper_default();
             let mut profiler = LoadProfiler::new();
-            for e in run.trace.iter() {
-                meter.observe(e);
-                profiler.observe(e);
+            for e in &run.trace {
+                meter.observe(&e);
+                profiler.observe(&e);
             }
             Ok((
                 run.trace.stats().instructions,

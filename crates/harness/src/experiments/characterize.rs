@@ -88,8 +88,8 @@ pub(super) fn characterize(engine: &Engine) -> Result<Report, HarnessError> {
             let c = ctx.job_characterization(job)?;
             let run = ctx.job_run(job)?;
             let mut meter = LocalityMeter::paper_default();
-            for e in run.trace.iter() {
-                meter.observe(e);
+            for e in &run.trace {
+                meter.observe(&e);
             }
             Ok((c.summary.clone(), meter.locality(1)))
         });

@@ -20,8 +20,8 @@ pub(super) fn fig1(engine: &Engine) -> Result<Report, HarnessError> {
         .map(|job, ctx| {
             let run = ctx.job_run(job)?;
             let mut meter = LocalityMeter::paper_default();
-            for e in run.trace.iter() {
-                meter.observe(e);
+            for e in &run.trace {
+                meter.observe(&e);
             }
             Ok((meter.locality(1), meter.locality(16)))
         });
@@ -66,8 +66,8 @@ pub(super) fn fig2(engine: &Engine) -> Result<Report, HarnessError> {
             let run = ctx.job_run(job)?;
             let ranges = address_ranges(&run.program);
             let mut meter = LocalityMeter::paper_default().with_ranges(ranges);
-            for e in run.trace.iter() {
-                meter.observe(e);
+            for e in &run.trace {
+                meter.observe(&e);
             }
             let mut per: Vec<(u64, f64, f64)> = Vec::new();
             for &class in ValueClass::ALL.iter() {

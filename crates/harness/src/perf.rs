@@ -222,7 +222,7 @@ use lvp_trace::rng::Lcg;
 fn canned_trace(seed: u64, n: usize) -> Trace {
     let mut rng = Lcg::new(seed);
     let mut mem: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-    let mut entries = Vec::with_capacity(n);
+    let mut trace = Trace::with_capacity(n);
     for _ in 0..n {
         let r = rng.next();
         let pc = 0x1_0000 + 4 * (r % 211);
@@ -307,9 +307,9 @@ fn canned_trace(seed: u64, n: usize) -> Trace {
                 }),
             },
         };
-        entries.push(e);
+        trace.push(e);
     }
-    entries.into_iter().collect()
+    trace
 }
 
 /// Warmup + timed iterations around `f`, excluding setup (done by the
@@ -330,22 +330,19 @@ fn sample<T>(cfg: &PerfConfig, mut f: impl FnMut() -> T) -> Vec<u64> {
 fn bench_unit_dispatch(cfg: &PerfConfig, kind: PredictorKind) -> Vec<u64> {
     let trace = canned_trace(0x11, 1_000_000);
     let config = presets::simple().builder().kind(kind).build();
-    sample(cfg, || {
-        let mut unit = LvpUnit::new(config.clone());
-        unit.run_trace(trace.entries())
-    })
+    sample(cfg, || LvpUnit::new(config.clone()).annotate(&trace))
 }
 
 fn bench_sim_620(cfg: &PerfConfig, n: usize) -> Vec<u64> {
     let trace = canned_trace(0x620, n);
-    let outcomes = LvpUnit::new(presets::simple()).run_trace(trace.entries());
+    let outcomes = LvpUnit::new(presets::simple()).annotate(&trace);
     let config = Ppc620Config::base();
     sample(cfg, || simulate_620(&trace, Some(&outcomes), &config))
 }
 
 fn bench_sim_21164(cfg: &PerfConfig, n: usize) -> Vec<u64> {
     let trace = canned_trace(0x21164, n);
-    let outcomes = LvpUnit::new(presets::simple()).run_trace(trace.entries());
+    let outcomes = LvpUnit::new(presets::simple()).annotate(&trace);
     let config = Alpha21164Config::base();
     sample(cfg, || simulate_21164(&trace, Some(&outcomes), &config))
 }
@@ -384,28 +381,46 @@ fn bench_alias_fixpoint(cfg: &PerfConfig) -> Vec<u64> {
     })
 }
 
-/// The workload the trace-generation and real-trace timing benches run:
-/// xlisp (1.24M dynamic instructions) — large enough that per-entry cost
+/// The workload the trace-generation and real-trace benches run: xlisp
+/// (1.24M dynamic instructions) — large enough that per-entry cost
 /// dominates, small enough for the fast subset.
-fn trace_bench_program() -> lvp_isa::Program {
+fn trace_bench_program(profile: lvp_isa::AsmProfile) -> lvp_isa::Program {
     let w = lvp_workloads::Workload::by_name("xlisp").expect("suite workload");
-    w.compile(lvp_isa::AsmProfile::Toc)
-        .expect("suite workload compiles")
+    w.compile(profile).expect("suite workload compiles")
 }
 
-/// `simulate_620` over the real xlisp trace with Simple-preset outcomes:
-/// compiled suite code, unlike the canned `sim_620_*` mixes.
-fn bench_sim_620_real(cfg: &PerfConfig, config: Ppc620Config) -> Vec<u64> {
-    let program = trace_bench_program();
-    let trace = lvp_sim::FastSim::new(&program)
+/// The real xlisp trace under `profile`: compiled suite code, unlike
+/// the canned mixes.
+fn real_trace(profile: lvp_isa::AsmProfile) -> Trace {
+    lvp_sim::FastSim::new(&trace_bench_program(profile))
         .run_traced(lvp_workloads::DEFAULT_FUEL)
-        .expect("suite workload completes");
+        .expect("suite workload completes")
+}
+
+/// `LvpUnit::annotate` (Simple preset) over the real xlisp trace.
+fn bench_annotate_real(cfg: &PerfConfig) -> Vec<u64> {
+    let trace = real_trace(lvp_isa::AsmProfile::Toc);
+    sample(cfg, || LvpUnit::new(presets::simple()).annotate(&trace))
+}
+
+/// `simulate_620` over the real xlisp trace with Simple-preset outcomes.
+fn bench_sim_620_real(cfg: &PerfConfig, config: Ppc620Config) -> Vec<u64> {
+    let trace = real_trace(lvp_isa::AsmProfile::Toc);
     let outcomes = LvpUnit::new(presets::simple()).annotate(&trace);
     sample(cfg, || simulate_620(&trace, Some(&outcomes), &config))
 }
 
+/// `simulate_21164` over the real xlisp trace with Simple-preset
+/// outcomes, on the Gp profile the experiments time the 21164 with.
+fn bench_sim_21164_real(cfg: &PerfConfig) -> Vec<u64> {
+    let trace = real_trace(lvp_isa::AsmProfile::Gp);
+    let outcomes = LvpUnit::new(presets::simple()).annotate(&trace);
+    let config = Alpha21164Config::base();
+    sample(cfg, || simulate_21164(&trace, Some(&outcomes), &config))
+}
+
 fn bench_fastsim_trace(cfg: &PerfConfig) -> Vec<u64> {
-    let program = trace_bench_program();
+    let program = trace_bench_program(lvp_isa::AsmProfile::Toc);
     sample(cfg, || {
         let mut sim = lvp_sim::FastSim::new(&program);
         sim.run_traced(lvp_workloads::DEFAULT_FUEL)
@@ -414,7 +429,7 @@ fn bench_fastsim_trace(cfg: &PerfConfig) -> Vec<u64> {
 }
 
 fn bench_interp_trace(cfg: &PerfConfig) -> Vec<u64> {
-    let program = trace_bench_program();
+    let program = trace_bench_program(lvp_isa::AsmProfile::Toc);
     sample(cfg, || {
         let mut sim = lvp_sim::Machine::new(&program);
         sim.run_traced(lvp_workloads::DEFAULT_FUEL)
@@ -423,7 +438,7 @@ fn bench_interp_trace(cfg: &PerfConfig) -> Vec<u64> {
 }
 
 fn bench_fastsim_stream(cfg: &PerfConfig) -> Vec<u64> {
-    let program = trace_bench_program();
+    let program = trace_bench_program(lvp_isa::AsmProfile::Toc);
     // Streaming (no trace materialization): isolates pure engine
     // dispatch cost from the memory-bandwidth-bound entry writes.
     sample(cfg, || {
@@ -438,7 +453,7 @@ fn bench_fastsim_stream(cfg: &PerfConfig) -> Vec<u64> {
 }
 
 fn bench_interp_stream(cfg: &PerfConfig) -> Vec<u64> {
-    let program = trace_bench_program();
+    let program = trace_bench_program(lvp_isa::AsmProfile::Toc);
     sample(cfg, || {
         let mut sim = lvp_sim::Machine::new(&program);
         let mut loads = 0u64;
@@ -451,7 +466,7 @@ fn bench_interp_stream(cfg: &PerfConfig) -> Vec<u64> {
 }
 
 fn bench_fastsim_decode(cfg: &PerfConfig) -> Vec<u64> {
-    let program = trace_bench_program();
+    let program = trace_bench_program(lvp_isa::AsmProfile::Toc);
     // FastSim::new is decode + machine-state setup — the whole cost a
     // caller pays before the first retired instruction.
     sample(cfg, || lvp_sim::FastSim::new(&program))
@@ -514,6 +529,12 @@ pub fn benches() -> &'static [BenchDef] {
             run: |cfg| bench_unit_dispatch(cfg, PredictorKind::Hybrid),
         },
         BenchDef {
+            name: "annotate_real_xlisp",
+            fast: true,
+            what: "LvpUnit::annotate (Simple preset) over the real xlisp trace",
+            run: |cfg| bench_annotate_real(cfg),
+        },
+        BenchDef {
             name: "sim_620_256k",
             fast: true,
             what: "simulate_620 (base config) over 256K annotated entries",
@@ -548,6 +569,12 @@ pub fn benches() -> &'static [BenchDef] {
             fast: false,
             what: "simulate_21164 over 1M annotated entries",
             run: |cfg| bench_sim_21164(cfg, 1_000_000),
+        },
+        BenchDef {
+            name: "sim_21164_real_xlisp",
+            fast: true,
+            what: "simulate_21164 over the real xlisp trace (Gp), Simple outcomes",
+            run: |cfg| bench_sim_21164_real(cfg),
         },
         BenchDef {
             name: "trace_codec_256k",
@@ -1116,7 +1143,7 @@ mod tests {
     fn canned_trace_is_deterministic_and_mixed() {
         let a = canned_trace(7, 10_000);
         let b = canned_trace(7, 10_000);
-        assert_eq!(a.entries(), b.entries());
+        assert_eq!(a, b);
         let stats = a.stats();
         assert!(stats.loads > 1500, "loads {}", stats.loads);
         assert!(stats.stores > 500, "stores {}", stats.stores);

@@ -89,8 +89,8 @@ impl LoadProfiler {
     /// Profiles an entire trace.
     pub fn profile(trace: &Trace) -> Vec<StaticLoadStats> {
         let mut p = LoadProfiler::new();
-        for e in trace.iter() {
-            p.observe(e);
+        for e in trace {
+            p.observe(&e);
         }
         p.report()
     }

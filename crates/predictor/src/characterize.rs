@@ -35,7 +35,7 @@
 //! metrics must *explain* the measurement, not restate it.
 
 use crate::lct::LoadClass;
-use lvp_trace::{OpKind, Trace, TraceEntry};
+use lvp_trace::{MemAccess, OpKind, Trace, TraceEntry};
 use std::collections::HashMap;
 
 /// Maximum distinct values tracked per PC before the histogram stops
@@ -206,72 +206,79 @@ impl Characterizer {
     /// Characterizes a fully materialized trace in one call.
     pub fn from_trace(trace: &Trace) -> Characterization {
         let mut c = Characterizer::new(trace.len() as u64);
-        for e in trace.iter() {
-            c.observe(e);
+        for e in trace {
+            c.observe(&e);
         }
         c.finish()
     }
 
     /// Feeds one trace entry.
+    ///
+    /// Inlined so that a caller walking a trace by value hands on the
+    /// fields it decoded instead of spilling the whole entry.
+    #[inline]
     pub fn observe(&mut self, e: &TraceEntry) {
         let index = self.index;
         self.index += 1;
-        match e.kind {
-            OpKind::Store => {
-                self.stores += 1;
-                if let Some(mem) = e.mem {
-                    self.last_store.insert(mem.addr & !7, index);
-                }
-            }
-            OpKind::Load => {
-                let Some(mem) = e.mem else { return };
-                let half = usize::from(2 * index >= self.total_entries);
-                let st = self.per_pc.entry(e.pc).or_default();
-                st.count += 1;
-                st.fp |= mem.fp;
-                st.seen_half[half] = true;
-
-                // Value histogram (capped; overflow counted distinct).
-                if let Some(n) = st.hist.get_mut(&mem.value) {
-                    *n += 1;
-                } else if st.hist.len() < HISTOGRAM_CAP {
-                    st.hist.insert(mem.value, 1);
-                } else {
-                    st.overflow += 1;
-                }
-
-                // Repeat / two-delta stride, and the per-half counter
-                // trained on last-value correctness.
-                if st.has_last {
-                    let correct = mem.value == st.last;
-                    st.repeat_hits += correct as u64;
-                    let c = &mut st.ctr[half];
-                    if correct {
-                        *c = (*c + 1).min(3);
-                    } else {
-                        *c = c.saturating_sub(1);
-                    }
-                    if st.has_stride && st.last.wrapping_add(st.stride as u64) == mem.value {
-                        st.stride_hits += 1;
-                    }
-                    let delta = mem.value.wrapping_sub(st.last) as i64;
-                    if st.has_delta && delta == st.last_delta {
-                        st.stride = delta;
-                        st.has_stride = true;
-                    }
-                    st.last_delta = delta;
-                    st.has_delta = true;
-                }
-                st.last = mem.value;
-                st.has_last = true;
-
-                // Store-to-load feeding.
-                if let Some(&si) = self.last_store.get(&(mem.addr & !7)) {
-                    st.fed += 1;
-                    st.feed_dist_sum += index - si;
-                }
-            }
+        match (e.kind, e.mem) {
+            (OpKind::Store, mem) => self.observe_store(index, mem),
+            (OpKind::Load, Some(mem)) => self.observe_load(index, e.pc, mem),
             _ => {}
+        }
+    }
+
+    fn observe_store(&mut self, index: u64, mem: Option<MemAccess>) {
+        self.stores += 1;
+        if let Some(mem) = mem {
+            self.last_store.insert(mem.addr & !7, index);
+        }
+    }
+
+    fn observe_load(&mut self, index: u64, pc: u64, mem: MemAccess) {
+        let half = usize::from(2 * index >= self.total_entries);
+        let st = self.per_pc.entry(pc).or_default();
+        st.count += 1;
+        st.fp |= mem.fp;
+        st.seen_half[half] = true;
+
+        // Value histogram (capped; overflow counted distinct).
+        if let Some(n) = st.hist.get_mut(&mem.value) {
+            *n += 1;
+        } else if st.hist.len() < HISTOGRAM_CAP {
+            st.hist.insert(mem.value, 1);
+        } else {
+            st.overflow += 1;
+        }
+
+        // Repeat / two-delta stride, and the per-half counter
+        // trained on last-value correctness.
+        if st.has_last {
+            let correct = mem.value == st.last;
+            st.repeat_hits += correct as u64;
+            let c = &mut st.ctr[half];
+            if correct {
+                *c = (*c + 1).min(3);
+            } else {
+                *c = c.saturating_sub(1);
+            }
+            if st.has_stride && st.last.wrapping_add(st.stride as u64) == mem.value {
+                st.stride_hits += 1;
+            }
+            let delta = mem.value.wrapping_sub(st.last) as i64;
+            if st.has_delta && delta == st.last_delta {
+                st.stride = delta;
+                st.has_stride = true;
+            }
+            st.last_delta = delta;
+            st.has_delta = true;
+        }
+        st.last = mem.value;
+        st.has_last = true;
+
+        // Store-to-load feeding.
+        if let Some(&si) = self.last_store.get(&(mem.addr & !7)) {
+            st.fed += 1;
+            st.feed_dist_sum += index - si;
         }
     }
 

@@ -162,6 +162,7 @@ impl LocalityMeter {
     }
 
     /// Observes one trace entry (ignores non-loads).
+    #[inline]
     pub fn observe(&mut self, entry: &TraceEntry) {
         if !entry.is_load() {
             return;

@@ -2,7 +2,7 @@
 //! the LVPT's slot in the LVP unit.
 //!
 //! Dispatch is a plain `enum` ([`Backend`]), not a trait object: the
-//! per-load hot path ([`crate::LvpUnit::run_entries`]) stays
+//! per-load hot path ([`crate::LvpUnit::annotate`]) stays
 //! monomorphic, allocation-free and branch-predictable, and adding a
 //! backend is a compile-error-guided edit rather than a vtable hookup.
 //!

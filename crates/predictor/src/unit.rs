@@ -419,32 +419,11 @@ impl LvpUnit {
 
     /// Runs the unit over a whole trace in program order, returning one
     /// outcome per dynamic load — the annotated trace the timing models
-    /// consume.
+    /// consume. This is the one annotation entry point; the per-entry
+    /// loop decodes each entry by value and never allocates.
     pub fn annotate(&mut self, trace: &Trace) -> Vec<PredOutcome> {
         let mut outcomes = Vec::with_capacity(trace.stats().loads as usize);
-        self.run_entries(trace.entries(), &mut outcomes);
-        outcomes
-    }
-
-    /// Runs the unit over a block of entries in program order, the
-    /// batch-dispatch hot path under [`LvpUnit::annotate`]: callers
-    /// streaming a trace block-by-block feed each decoded
-    /// `&[TraceEntry]` slice here and reuse one outcome vector, so
-    /// the per-entry loop never allocates.
-    pub fn run_trace(&mut self, entries: &[lvp_trace::TraceEntry]) -> Vec<PredOutcome> {
-        let loads = entries.iter().filter(|e| e.is_load()).count();
-        let mut outcomes = Vec::with_capacity(loads);
-        self.run_entries(entries, &mut outcomes);
-        outcomes
-    }
-
-    /// Appends one outcome per load in `entries` to `outcomes`.
-    pub fn run_entries(
-        &mut self,
-        entries: &[lvp_trace::TraceEntry],
-        outcomes: &mut Vec<PredOutcome>,
-    ) {
-        for entry in entries {
+        for entry in trace {
             if let Some(mem) = entry.mem {
                 if entry.is_load() {
                     outcomes.push(self.on_load(entry.pc, mem.addr, mem.width, mem.value));
@@ -453,6 +432,7 @@ impl LvpUnit {
                 }
             }
         }
+        outcomes
     }
 }
 

@@ -12,7 +12,7 @@
 //! counted and each one must be explainable by aliasing, never silent.
 
 use lvp_predictor::{presets, LvpConfig, LvpUnit};
-use lvp_trace::{MemAccess, OpKind, PredOutcome, RegRef, TraceEntry};
+use lvp_trace::{MemAccess, OpKind, PredOutcome, RegRef, Trace, TraceEntry};
 use std::collections::HashMap;
 
 /// Deterministic 64-bit LCG (Knuth MMIX constants).
@@ -34,10 +34,10 @@ impl Lcg {
 /// Half the load PCs always read a never-stored address derived from
 /// the PC (stable, CVU-eligible values); the rest read a small pool
 /// that 1-in-8 entries store into, so invalidation paths run.
-fn random_trace(seed: u64, n: usize, pcs: u64) -> Vec<TraceEntry> {
+fn random_trace(seed: u64, n: usize, pcs: u64) -> Trace {
     let mut rng = Lcg(seed);
     let mut mem: HashMap<u64, u64> = HashMap::new();
-    let mut out = Vec::with_capacity(n);
+    let mut out = Trace::with_capacity(n);
     for _ in 0..n {
         let r = rng.next();
         let pc = 0x1_0000 + 4 * (r % pcs);
@@ -165,9 +165,9 @@ impl Reference {
             .retain(|&(_, a, w)| a + w as u64 <= addr || end <= a);
     }
 
-    fn run(&mut self, entries: &[TraceEntry]) -> Vec<PredOutcome> {
+    fn run(&mut self, trace: &Trace) -> Vec<PredOutcome> {
         let mut outcomes = Vec::new();
-        for e in entries {
+        for e in trace {
             if let Some(mem) = e.mem {
                 if e.kind == OpKind::Load {
                     outcomes.push(self.on_load(e.pc, mem.addr, mem.width, mem.value));
@@ -181,8 +181,8 @@ impl Reference {
 }
 
 /// Load PCs of a trace in outcome order (one per dynamic load).
-fn load_pcs(entries: &[TraceEntry]) -> Vec<u64> {
-    entries
+fn load_pcs(trace: &Trace) -> Vec<u64> {
+    trace
         .iter()
         .filter(|e| e.kind == OpKind::Load)
         .map(|e| e.pc)
@@ -202,7 +202,7 @@ fn unit_matches_reference_when_tables_are_alias_free() {
     for seed in [1u64, 42, 0xDEAD_BEEF] {
         let trace = random_trace(seed, 50_000, 200);
         let mut unit = LvpUnit::new(config.clone());
-        let got = unit.run_trace(&trace);
+        let got = unit.annotate(&trace);
         let expected = Reference::new(&config).run(&trace);
         assert_eq!(
             unit.cvu().evictions(),
@@ -231,7 +231,7 @@ fn divergences_under_small_tables_are_aliasing_only() {
     for seed in [7u64, 1234, 0xFEED] {
         let trace = random_trace(seed, 50_000, 600);
         let mut unit = LvpUnit::new(config.clone());
-        let got = unit.run_trace(&trace);
+        let got = unit.annotate(&trace);
         let expected = Reference::new(&config).run(&trace);
         assert_eq!(unit.cvu().evictions(), 0);
         assert_eq!(got.len(), expected.len());
@@ -277,7 +277,7 @@ fn differential_runs_are_deterministic() {
     let trace_a = random_trace(99, 20_000, 600);
     let trace_b = random_trace(99, 20_000, 600);
     assert_eq!(trace_a, trace_b);
-    let a = LvpUnit::new(config.clone()).run_trace(&trace_a);
-    let b = LvpUnit::new(config).run_trace(&trace_b);
+    let a = LvpUnit::new(config.clone()).annotate(&trace_a);
+    let b = LvpUnit::new(config).annotate(&trace_b);
     assert_eq!(a, b);
 }

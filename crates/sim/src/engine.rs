@@ -114,7 +114,7 @@ mod tests {
             .unwrap();
         let fast = SimEngine::Fast.run_traced(&p, 10_000).unwrap();
         let interp = SimEngine::Interp.run_traced(&p, 10_000).unwrap();
-        assert_eq!(fast.trace.entries(), interp.trace.entries());
+        assert_eq!(fast.trace, interp.trace);
         assert_eq!(fast.output, interp.output);
         assert_eq!(fast.checksum, interp.checksum);
         assert_eq!(fast.output, vec![55]);

@@ -889,7 +889,7 @@ main:
         let mut m2 = Machine::new(&p);
         let t1 = m1.run_traced(1000).unwrap();
         let t2 = m2.run_traced(1000).unwrap();
-        assert_eq!(t1.entries(), t2.entries());
+        assert_eq!(t1, t2);
         assert_eq!(m1.output_checksum(), m2.output_checksum());
     }
 

@@ -498,8 +498,7 @@ table: .dword 1, 2, 3, 4
     let mut interp = Machine::new(&p);
     let tf = fast.run_traced(10_000).unwrap();
     let ti = interp.run_traced(10_000).unwrap();
-    assert_eq!(tf.entries(), ti.entries());
-    assert_eq!(tf.stats(), ti.stats());
+    assert_eq!(tf, ti);
     assert_eq!(fast.output(), interp.output());
 }
 

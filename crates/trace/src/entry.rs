@@ -6,9 +6,10 @@ use std::fmt;
 #[derive(Debug, Copy, Clone, PartialEq, Eq, Hash)]
 pub enum RegClass {
     /// Integer (general-purpose) register file.
-    Int,
-    /// Floating-point register file.
-    Fp,
+    Int = 0,
+    /// Floating-point register file. The discriminant is the file's
+    /// offset in [`RegRef::flat_index`], which then needs no branch.
+    Fp = 32,
 }
 
 /// A reference to one architectural register.
@@ -45,10 +46,7 @@ impl RegRef {
     /// Dense index 0–63 across both register files, handy for scoreboards.
     #[inline]
     pub fn flat_index(self) -> usize {
-        match self.class {
-            RegClass::Int => self.num as usize,
-            RegClass::Fp => 32 + self.num as usize,
-        }
+        self.class as usize + self.num as usize
     }
 }
 
@@ -207,9 +205,10 @@ impl TraceEntry {
         self.kind == OpKind::Store
     }
 
-    /// Iterates over the present source operands.
-    pub fn sources(&self) -> impl Iterator<Item = RegRef> + '_ {
-        self.srcs.iter().flatten().copied()
+    /// Iterates over the present source operands (a copy of them, so the
+    /// iterator does not borrow the entry).
+    pub fn sources(&self) -> impl Iterator<Item = RegRef> {
+        self.srcs.into_iter().flatten()
     }
 }
 

@@ -7,7 +7,8 @@
 //!
 //! * [`TraceEntry`] — one retired instruction with its register operands,
 //!   memory access, and branch outcome;
-//! * [`Trace`] — an owned instruction trace with summary statistics;
+//! * [`Trace`] — an owned instruction trace with summary statistics,
+//!   stored as two compact columns and read back by value;
 //! * [`PredOutcome`] — the per-load annotation produced by the LVP unit
 //!   simulation ("no prediction, incorrect prediction, correct prediction,
 //!   or constant load" — two bits of state per load, exactly as the paper
@@ -22,6 +23,7 @@
 mod crc32;
 mod entry;
 mod io;
+mod layout;
 mod reader;
 pub mod rng;
 mod text;
@@ -30,10 +32,12 @@ mod window;
 pub use crc32::crc32;
 pub use entry::{BranchEvent, MemAccess, OpKind, RegClass, RegRef, TraceEntry};
 pub use io::{read_trace, write_trace, write_trace_v1, TraceIoError, FORMAT_VERSION};
+pub use layout::{Iter, OpWord};
 pub use reader::TraceReader;
 pub use text::{dump_text, parse_text, ParseTraceError};
 pub use window::{TraceWindow, Windows};
 
+use layout::Columns;
 use std::fmt;
 
 /// Per-load prediction outcome annotated onto a trace by the LVP unit
@@ -114,6 +118,10 @@ impl TraceStats {
 
 /// An owned dynamic instruction trace.
 ///
+/// Entries are stored compactly — about 7.5 bytes each on real traces
+/// instead of the 56 of a [`TraceEntry`] (DESIGN.md §6.3) — so they are
+/// read back by value: [`Trace::iter`] decodes each entry as it goes.
+///
 /// # Examples
 ///
 /// ```
@@ -121,10 +129,11 @@ impl TraceStats {
 /// let mut trace = Trace::new();
 /// trace.push(TraceEntry::simple(0x10000, OpKind::IntSimple));
 /// assert_eq!(trace.stats().instructions, 1);
+/// assert_eq!(trace.iter().next(), Some(TraceEntry::simple(0x10000, OpKind::IntSimple)));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
-    entries: Vec<TraceEntry>,
+    columns: Columns,
     stats: TraceStats,
 }
 
@@ -134,37 +143,34 @@ impl Trace {
         Trace::default()
     }
 
-    /// Creates an empty trace with reserved capacity.
+    /// Creates an empty trace with room for `n` entries' op words.
     pub fn with_capacity(n: usize) -> Trace {
         Trace {
-            entries: Vec::with_capacity(n),
+            columns: Columns::with_capacity(n),
             stats: TraceStats::default(),
         }
     }
 
-    /// Builds a trace from already-collected entries, computing the
-    /// statistics in one pass. Equivalent to pushing every entry in
-    /// order, but lets bulk producers (e.g. `lvp-sim`'s fastsim engine)
-    /// fill a plain `Vec<TraceEntry>` at memory speed and pay for the
-    /// statistics once at the end.
-    pub fn from_entries(entries: Vec<TraceEntry>) -> Trace {
-        let mut stats = TraceStats::default();
-        for e in &entries {
-            stats.record(e);
-        }
-        Trace { entries, stats }
-    }
-
-    /// Appends one entry, updating statistics.
+    /// Appends one entry, updating statistics. Any entry is accepted;
+    /// it reads back unchanged if its register numbers are 0–31 and its
+    /// access width is 1, 2, 4 or 8, which is every entry LVPT v2 can
+    /// hold.
     #[inline]
     pub fn push(&mut self, entry: TraceEntry) {
         self.stats.record(&entry);
-        self.entries.push(entry);
+        self.columns.push(&entry);
     }
 
-    /// The recorded entries in program order.
-    pub fn entries(&self) -> &[TraceEntry] {
-        &self.entries
+    /// The op-word column: one opaque word per entry, in program order.
+    /// `size_of_val` of it is that column's size; read entries with
+    /// [`Trace::iter`], and compare traces with `==`.
+    pub fn entries(&self) -> &[OpWord] {
+        self.columns.op_words()
+    }
+
+    /// Bytes held by both columns (op words and payload).
+    pub fn heap_bytes(&self) -> usize {
+        self.columns.heap_bytes()
     }
 
     /// Summary statistics.
@@ -174,26 +180,24 @@ impl Trace {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.columns.len()
     }
 
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
-    /// Iterates over the entries.
-    pub fn iter(&self) -> std::slice::Iter<'_, TraceEntry> {
-        self.entries.iter()
+    /// Iterates over the entries in program order, by value.
+    pub fn iter(&self) -> Iter<'_> {
+        self.columns.iter()
     }
 }
 
 impl FromIterator<TraceEntry> for Trace {
     fn from_iter<I: IntoIterator<Item = TraceEntry>>(iter: I) -> Trace {
         let mut t = Trace::new();
-        for e in iter {
-            t.push(e);
-        }
+        t.extend(iter);
         t
     }
 }
@@ -207,10 +211,10 @@ impl Extend<TraceEntry> for Trace {
 }
 
 impl<'a> IntoIterator for &'a Trace {
-    type Item = &'a TraceEntry;
-    type IntoIter = std::slice::Iter<'a, TraceEntry>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.entries.iter()
+    type Item = TraceEntry;
+    type IntoIter = Iter<'a>;
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
     }
 }
 
@@ -310,20 +314,53 @@ mod tests {
     }
 
     #[test]
-    fn from_entries_matches_push() {
+    fn iter_returns_what_was_pushed() {
         let entries = vec![
             TraceEntry::simple(0x10000, OpKind::IntSimple),
             load_entry(0x10004),
-            TraceEntry::simple(0x10008, OpKind::Store),
+            TraceEntry::simple(0x20000, OpKind::Store),
             TraceEntry::simple(0x1000c, OpKind::Jump),
         ];
         let mut pushed = Trace::new();
         for e in &entries {
             pushed.push(*e);
         }
-        let bulk = Trace::from_entries(entries);
-        assert_eq!(bulk.entries(), pushed.entries());
-        assert_eq!(bulk.stats(), pushed.stats());
+        assert_eq!(pushed.iter().collect::<Vec<_>>(), entries);
+        assert_eq!(pushed.iter().len(), 4);
+        let collected: Trace = entries.iter().copied().collect();
+        assert_eq!(collected, pushed);
+    }
+
+    #[test]
+    fn pc_is_stored_only_where_the_previous_entry_mispredicts_it() {
+        let mut t = Trace::new();
+        t.push(TraceEntry::simple(0x10000, OpKind::IntSimple)); // first entry: override
+        t.push(TraceEntry::simple(0x10004, OpKind::IntSimple)); // pc + 4
+        let mut b = TraceEntry::simple(0x10008, OpKind::CondBranch);
+        b.branch = Some(BranchEvent {
+            taken: true,
+            target: 0x10000,
+        });
+        t.push(b); // branch event: 8 bytes
+        t.push(TraceEntry::simple(0x10000, OpKind::IntSimple)); // at the target
+        assert_eq!(t.heap_bytes(), 4 * 4 + 8 + 8);
+        t.push(TraceEntry::simple(0x30000, OpKind::IntSimple)); // override
+        t.push(load_entry(0x30004)); // access: 16 bytes
+        assert_eq!(t.heap_bytes(), 6 * 4 + 8 + 8 + 8 + 16);
+        assert_eq!(
+            t.iter().map(|e| e.pc).collect::<Vec<_>>()[4..],
+            [0x30000, 0x30004]
+        );
+    }
+
+    #[test]
+    fn equality_covers_the_payload() {
+        let a: Trace = [load_entry(0x10000)].into_iter().collect();
+        let mut other = load_entry(0x10000);
+        other.mem.as_mut().unwrap().value = 6;
+        let b: Trace = [other].into_iter().collect();
+        assert_eq!(a.len(), b.len());
+        assert_ne!(a, b, "same op words, different values");
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! ```
 
 use crate::entry::{BranchEvent, MemAccess, OpKind, RegClass, RegRef, TraceEntry};
+use crate::io::kind_inconsistency;
 use crate::Trace;
 use std::fmt;
 use std::fmt::Write as _;
@@ -130,13 +131,13 @@ fn parse_u64(s: &str, line: usize) -> Result<u64, ParseTraceError> {
 ///     (0..3).map(|i| TraceEntry::simple(0x1000 + 4 * i, OpKind::IntSimple)).collect();
 /// let text = dump_text(&trace);
 /// let back = parse_text(&text)?;
-/// assert_eq!(back.entries(), trace.entries());
+/// assert_eq!(back, trace);
 /// # Ok::<(), lvp_trace::ParseTraceError>(())
 /// ```
 pub fn dump_text(trace: &Trace) -> String {
     let mut out = String::with_capacity(trace.len() * 48);
     out.push_str("# pc kind dst srcs mem branch\n");
-    for e in trace.iter() {
+    for e in trace {
         let _ = write!(
             out,
             "{:#x} {} {} {},{}",
@@ -170,7 +171,8 @@ pub fn dump_text(trace: &Trace) -> String {
 /// # Errors
 ///
 /// Returns [`ParseTraceError`] with the offending 1-based line for any
-/// malformed record.
+/// malformed record, including a load or store without a memory access
+/// and a branch or jump without a branch event.
 pub fn parse_text(text: &str) -> Result<Trace, ParseTraceError> {
     let mut trace = Trace::new();
     for (i, raw) in text.lines().enumerate() {
@@ -246,14 +248,18 @@ pub fn parse_text(text: &str) -> Result<Trace, ParseTraceError> {
                 target: parse_u64(target, line_no)?,
             })
         };
-        trace.push(TraceEntry {
+        let entry = TraceEntry {
             pc,
             kind,
             dst,
             srcs,
             mem,
             branch,
-        });
+        };
+        if let Some(what) = kind_inconsistency(&entry) {
+            return Err(ParseTraceError::new(line_no, what));
+        }
+        trace.push(entry);
     }
     Ok(trace)
 }
@@ -310,8 +316,7 @@ mod tests {
         let t = sample();
         let text = dump_text(&t);
         let back = parse_text(&text).unwrap();
-        assert_eq!(back.entries(), t.entries());
-        assert_eq!(back.stats(), t.stats());
+        assert_eq!(back, t);
     }
 
     #[test]
@@ -319,7 +324,7 @@ mod tests {
         let text = "# header\n\n0x10 int _ _,_ - -  # trailing\n";
         let t = parse_text(text).unwrap();
         assert_eq!(t.len(), 1);
-        assert_eq!(t.entries()[0].pc, 0x10);
+        assert_eq!(t.iter().next().unwrap().pc, 0x10);
     }
 
     #[test]
@@ -337,6 +342,22 @@ mod tests {
             parse_text("0x10 int x99 _,_ - -").is_err(),
             "register range"
         );
+    }
+
+    #[test]
+    fn rejects_kind_inconsistent_records() {
+        for (line, what) in [
+            ("0x10000 load _ _,_ - -", "memory access"),
+            ("0x10000 store _ x2,x3 - -", "memory access"),
+            ("0x10000 branch _ x1,_ - -", "branch event"),
+            ("0x10000 jump x1 _,_ - -", "branch event"),
+            ("0x10000 ijump _ x1,_ - -", "branch event"),
+        ] {
+            let err = parse_text(&format!("0x0 int _ _,_ - -\n{line}\n")).unwrap_err();
+            assert_eq!(err.line(), 2, "{line}");
+            assert!(err.to_string().contains(what), "{line}: {err}");
+        }
+        assert!(parse_text("0x10000 branch _ x1,_ - b:not@0x10004\n").is_ok());
     }
 
     #[test]

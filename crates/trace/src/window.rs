@@ -7,8 +7,7 @@
 //! with its slice of per-load annotations via
 //! [`TraceWindow::load_offset`].
 
-use crate::entry::TraceEntry;
-use crate::{PredOutcome, Trace};
+use crate::{Iter, PredOutcome, Trace};
 
 /// One sampling window of a trace.
 #[derive(Debug, Clone)]
@@ -37,7 +36,9 @@ impl TraceWindow {
 /// Iterator over periodic sampling windows; see [`Trace::windows`].
 #[derive(Debug)]
 pub struct Windows<'a> {
-    entries: &'a [TraceEntry],
+    /// Cursor at entry `scanned_until` of the parent trace.
+    cursor: Iter<'a>,
+    len: usize,
     window: usize,
     stride: usize,
     next_start: usize,
@@ -49,19 +50,21 @@ impl Iterator for Windows<'_> {
     type Item = TraceWindow;
 
     fn next(&mut self) -> Option<TraceWindow> {
-        if self.next_start >= self.entries.len() {
+        if self.next_start >= self.len {
             return None;
         }
         // Advance the load prefix count to the window start.
         while self.scanned_until < self.next_start {
-            if self.entries[self.scanned_until].is_load() {
+            if self.cursor.next().is_some_and(|e| e.is_load()) {
                 self.loads_seen += 1;
             }
             self.scanned_until += 1;
         }
         let start = self.next_start;
-        let end = (start + self.window).min(self.entries.len());
-        let trace: Trace = self.entries[start..end].iter().copied().collect();
+        // The window is read through a clone: the cursor itself stays at
+        // the window's start, where the load count for the next window
+        // (which may overlap this one) resumes.
+        let trace: Trace = self.cursor.clone().take(self.window).collect();
         self.next_start = start + self.stride;
         Some(TraceWindow {
             start,
@@ -95,7 +98,8 @@ impl Trace {
         assert!(window > 0, "window length must be positive");
         assert!(stride > 0, "stride must be positive");
         Windows {
-            entries: self.entries(),
+            cursor: self.iter(),
+            len: self.len(),
             window,
             stride,
             next_start: 0,
@@ -108,7 +112,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::{MemAccess, OpKind};
+    use crate::entry::{MemAccess, OpKind, TraceEntry};
 
     fn mixed_trace(n: usize) -> Trace {
         (0..n)
@@ -170,7 +174,7 @@ mod tests {
         assert_eq!(windows[1].start, 40);
         assert_eq!(windows[2].start, 80);
         // load_offset counts loads in the skipped regions too.
-        let loads_before_80 = t.entries()[..80].iter().filter(|e| e.is_load()).count();
+        let loads_before_80 = t.iter().take(80).filter(|e| e.is_load()).count();
         assert_eq!(windows[2].load_offset, loads_before_80);
     }
 

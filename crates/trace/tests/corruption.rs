@@ -200,3 +200,65 @@ fn no_corruption_panics() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Semantic corruption: checksum-valid records whose kind contradicts
+// their fields. The timing models cost a load from its memory access
+// and a branch from its branch event, so the reader rejects these
+// instead of handing them on.
+// ---------------------------------------------------------------------
+
+/// Byte offset of the first v2 block's records (file header 24 bytes,
+/// block header 12) and of its CRC field.
+const RECORDS: usize = 24 + 12;
+const BLOCK_CRC: usize = 24 + 8;
+
+/// Sets the kind byte of the record at `record` (a byte offset into the
+/// first block), then re-checksums the block so the CRC check passes
+/// and only the record's meaning is wrong.
+fn with_kind(record: usize, kind: u8) -> Vec<u8> {
+    let mut buf = valid_v2_bytes();
+    buf[record + 8] = kind;
+    let len = u32::from_le_bytes(buf[24 + 4..24 + 8].try_into().unwrap()) as usize;
+    let crc = lvp_trace::crc32(&buf[RECORDS..RECORDS + len]);
+    buf[BLOCK_CRC..BLOCK_CRC + 4].copy_from_slice(&crc.to_le_bytes());
+    buf
+}
+
+#[test]
+fn kind_inconsistent_records_are_typed_despite_valid_checksums() {
+    // Each group of the sample trace is an int op (13 bytes), a load
+    // (30) and a conditional branch (21): 64 bytes. Rewrite the int op
+    // of the first and of a middle group as each kind that needs a
+    // field it does not carry (wire bytes: 4 load, 5 store, 6 branch,
+    // 7 jump, 8 indirect jump).
+    for group in [0, 17] {
+        let record = RECORDS + 64 * group;
+        for (kind, what) in [
+            (4, "memory access"),
+            (5, "memory access"),
+            (6, "branch event"),
+            (7, "branch event"),
+            (8, "branch event"),
+        ] {
+            let (a, b) = read_both(&with_kind(record, kind));
+            for err in [a, b] {
+                assert!(
+                    matches!(err, TraceIoError::Corrupt(m) if m.contains(what)),
+                    "group {group}, kind {kind}: {err:?}"
+                );
+            }
+        }
+        // A kind that needs neither field stays valid.
+        assert!(read_trace(with_kind(record, 9).as_slice()).is_ok());
+    }
+
+    // The v1 path, which has no checksums at all, rejects the same
+    // records: the first int op rewritten as a conditional branch.
+    let mut buf = Vec::new();
+    write_trace_v1(&mut buf, &sample_trace()).unwrap();
+    buf[16 + 8] = 6;
+    let (a, b) = read_both(&buf);
+    assert!(matches!(a, TraceIoError::Corrupt(_)), "{a:?}");
+    assert!(matches!(b, TraceIoError::Corrupt(_)), "{b:?}");
+}

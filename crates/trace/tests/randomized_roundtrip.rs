@@ -1,18 +1,24 @@
-//! Seeded, hand-rolled randomized roundtrip tests for the binary and
-//! text trace formats (no external property-testing dependency, per the
-//! offline build rule), plus the v1 → v2 compatibility test against a
-//! committed fixture.
+//! Seeded, hand-rolled randomized roundtrip tests for the in-memory
+//! trace layout and the binary and text trace formats (no external
+//! property-testing dependency, per the offline build rule), plus the
+//! v1 → v2 compatibility test against a committed fixture.
 //!
 //! The generator first enumerates *every* combination of `OpKind` ×
 //! operand presence × memory variant (none / int / fp) × branch variant
 //! (none / not-taken / taken), then pads to ~1k entries with
 //! LCG-generated random records, so all encoder flag paths are covered
-//! deterministically on every run.
+//! deterministically on every run. The random records' pcs are random,
+//! so most of them take the in-memory layout's pc-override path.
+//!
+//! `Trace::push` holds every combination. The file formats reject a
+//! load or store without a memory access and a branch or jump without a
+//! branch event; their round trips keep every other combination and
+//! assert that those are rejected.
 
 use lvp_trace::rng::Lcg;
 use lvp_trace::{
     dump_text, parse_text, read_trace, write_trace, write_trace_v1, BranchEvent, MemAccess, OpKind,
-    RegRef, Trace, TraceEntry, TraceReader,
+    RegRef, Trace, TraceEntry, TraceIoError, TraceReader, TraceStats,
 };
 use std::path::PathBuf;
 
@@ -59,10 +65,23 @@ fn branch(variant: u64, target: u64) -> Option<BranchEvent> {
     }
 }
 
+/// Whether the file formats accept `e`: loads and stores carry their
+/// memory access, branches and jumps their branch event.
+fn accepted(e: &TraceEntry) -> bool {
+    let missing_access = e.kind.is_mem() && e.mem.is_none();
+    let missing_event = e.kind.is_control() && e.branch.is_none();
+    !(missing_access || missing_event)
+}
+
+/// [`all_combinations`] without the records the file formats reject.
+fn generated_trace() -> Trace {
+    all_combinations().into_iter().filter(accepted).collect()
+}
+
 /// Every (kind, dst, src0, src1, mem-variant, branch-variant)
 /// combination once, then random entries up to ~1k total.
-fn generated_trace() -> Trace {
-    let mut t = Trace::new();
+fn all_combinations() -> Vec<TraceEntry> {
+    let mut t = Vec::new();
     let mut pc = 0x1_0000u64;
     for (ki, &kind) in OpKind::ALL.iter().enumerate() {
         for dst in 0..2 {
@@ -119,6 +138,114 @@ fn random_entry(rng: &mut Lcg) -> TraceEntry {
     }
 }
 
+/// A recount of `entries`' statistics, independent of `Trace::push`.
+fn recount(entries: &[TraceEntry]) -> TraceStats {
+    let count = |f: &dyn Fn(&TraceEntry) -> bool| entries.iter().filter(|e| f(e)).count() as u64;
+    TraceStats {
+        instructions: entries.len() as u64,
+        loads: count(&|e| e.kind == OpKind::Load),
+        stores: count(&|e| e.kind == OpKind::Store),
+        cond_branches: count(&|e| e.kind == OpKind::CondBranch),
+        jumps: count(&|e| matches!(e.kind, OpKind::Jump | OpKind::IndirectJump)),
+        fp_ops: count(&|e| matches!(e.kind, OpKind::FpSimple | OpKind::FpComplex)),
+    }
+}
+
+// ---------------------------------------------------------------------
+// In-memory layout
+// ---------------------------------------------------------------------
+
+#[test]
+fn layout_gives_back_every_pushed_entry() {
+    let entries = all_combinations();
+    let mut pushed = Trace::new();
+    let mut overrides = 0;
+    for (i, e) in entries.iter().enumerate() {
+        pushed.push(*e);
+        let predicted = match i.checked_sub(1).map(|p| entries[p]) {
+            None => 0,
+            Some(prev) => prev.branch.map_or(prev.pc.wrapping_add(4), |b| b.target),
+        };
+        overrides += usize::from(e.pc != predicted);
+    }
+    assert!(
+        overrides > entries.len() / 2,
+        "only {overrides} pc overrides: the random pcs must exercise that path"
+    );
+    assert_eq!(pushed.iter().len(), entries.len());
+    for (i, (got, want)) in pushed.iter().zip(&entries).enumerate() {
+        assert_eq!(got, *want, "entry {i}");
+    }
+    assert_eq!(*pushed.stats(), recount(&entries));
+
+    // Every window shape gives back the entries it covers, with the
+    // load offset of its start.
+    for (window, stride) in [(100, 37), (64, 64), (50, 173), (1, 1), (2000, 3)] {
+        let mut starts = 0;
+        for w in pushed.windows(window, stride) {
+            assert_eq!(w.start, starts * stride, "w{window}/s{stride}");
+            let end = (w.start + window).min(entries.len());
+            let got: Vec<TraceEntry> = w.trace.iter().collect();
+            assert_eq!(
+                got,
+                entries[w.start..end],
+                "w{window}/s{stride} at {}",
+                w.start
+            );
+            assert_eq!(*w.trace.stats(), recount(&entries[w.start..end]));
+            assert_eq!(w.load_offset as u64, recount(&entries[..w.start]).loads);
+            starts += 1;
+        }
+        assert_eq!(
+            starts,
+            entries.len().div_ceil(stride),
+            "w{window}/s{stride}"
+        );
+    }
+
+    // The formats reproduce every record they accept.
+    let accepted_only = generated_trace();
+    let mut buf = Vec::new();
+    write_trace(&mut buf, &accepted_only).unwrap();
+    let back = read_trace(buf.as_slice()).unwrap();
+    assert_eq!(back, accepted_only);
+    assert_eq!(*back.stats(), recount(&back.iter().collect::<Vec<_>>()));
+}
+
+#[test]
+fn formats_reject_every_kind_inconsistent_combination() {
+    let rejected: Vec<TraceEntry> = all_combinations()
+        .into_iter()
+        .filter(|e| !accepted(e))
+        .collect();
+    // Per kind: no memory variant, or no branch variant, in 8 operand
+    // shapes and 3 variants of the other field.
+    assert!(rejected.len() >= 5 * 8 * 3, "{} rejected", rejected.len());
+    for e in rejected {
+        let trace: Trace = [e].into_iter().collect();
+        for v1 in [false, true] {
+            let mut buf = Vec::new();
+            if v1 {
+                write_trace_v1(&mut buf, &trace).unwrap();
+            } else {
+                write_trace(&mut buf, &trace).unwrap();
+            }
+            assert!(
+                matches!(read_trace(buf.as_slice()), Err(TraceIoError::Corrupt(_))),
+                "v1={v1}: {e:?} accepted"
+            );
+            assert!(
+                matches!(
+                    TraceReader::new(buf.as_slice()).unwrap().next(),
+                    Some(Err(TraceIoError::Corrupt(_)))
+                ),
+                "v1={v1}: {e:?} streamed"
+            );
+        }
+        assert!(parse_text(&dump_text(&trace)).is_err(), "{e:?} parsed");
+    }
+}
+
 #[test]
 fn write_stream_write_is_byte_identical() {
     let original = generated_trace();
@@ -130,8 +257,7 @@ fn write_stream_write_is_byte_identical() {
         .unwrap()
         .collect::<Result<_, _>>()
         .unwrap();
-    assert_eq!(rebuilt.entries(), original.entries());
-    assert_eq!(rebuilt.stats(), original.stats());
+    assert_eq!(rebuilt, original);
 
     let mut second = Vec::new();
     write_trace(&mut second, &rebuilt).unwrap();
@@ -144,7 +270,7 @@ fn v1_write_read_preserves_every_combination() {
     let mut buf = Vec::new();
     write_trace_v1(&mut buf, &original).unwrap();
     let back = read_trace(buf.as_slice()).unwrap();
-    assert_eq!(back.entries(), original.entries());
+    assert_eq!(back, original);
 
     // v1 re-encoding is stable too.
     let mut again = Vec::new();
@@ -178,14 +304,17 @@ const TEXT_CASES: u64 = 256;
 fn text_round_trip_preserves_random_traces() {
     let exhaustive = generated_trace();
     let back = parse_text(&dump_text(&exhaustive)).unwrap();
-    assert_eq!(back.entries(), exhaustive.entries());
+    assert_eq!(back, exhaustive);
 
     let mut rng = Lcg::new(SEED ^ 0x7e47);
     for case in 0..TEXT_CASES {
         let len = rng.below(200);
-        let trace: Trace = (0..len).map(|_| random_entry(&mut rng)).collect();
+        let trace: Trace = (0..len)
+            .map(|_| random_entry(&mut rng))
+            .filter(accepted)
+            .collect();
         let back = parse_text(&dump_text(&trace)).unwrap_or_else(|e| panic!("case {case}: {e}"));
-        assert_eq!(back.entries(), trace.entries(), "case {case}");
+        assert_eq!(back, trace, "case {case}");
     }
 }
 
@@ -304,14 +433,14 @@ fn committed_v1_fixture_reads_under_v2_reader() {
     let reader = TraceReader::new(bytes.as_slice()).unwrap();
     assert_eq!(reader.version(), 1);
     let streamed: Trace = reader.collect::<Result<_, _>>().unwrap();
-    assert_eq!(streamed.entries(), fixture_trace().entries());
+    assert_eq!(streamed, fixture_trace());
 
     // Materializing read, then re-encode as v2 and read back.
     let materialized = read_trace(bytes.as_slice()).unwrap();
     let mut v2 = Vec::new();
     write_trace(&mut v2, &materialized).unwrap();
     let upgraded = read_trace(v2.as_slice()).unwrap();
-    assert_eq!(upgraded.entries(), fixture_trace().entries());
+    assert_eq!(upgraded, fixture_trace());
 }
 
 /// Regenerates the committed fixture. Run manually after an intentional

@@ -490,8 +490,10 @@ pub fn simulate_620(
     let mut mem = MemHierarchy::new(config.l1, config.l2, config.mem_latency);
     let mut banks = BankArbiter::new();
 
-    let entries = trace.entries();
-    let mut next_dispatch = 0usize; // trace index
+    // Dispatch looks at the next entry and may stall before taking it.
+    let mut entries = trace.iter();
+    let mut next_entry = entries.next();
+    let mut next_dispatch = 0usize; // entries dispatched so far
     let mut load_index = 0usize;
 
     let mut w = Window::new(config.completion_buffer);
@@ -517,7 +519,7 @@ pub fn simulate_620(
     let mut cycle: u64 = 0;
     let mut last_progress: (u64, (u64, usize)) = (0, (0, 0));
 
-    while next_dispatch < entries.len() || w.len() > 0 {
+    while next_entry.is_some() || w.len() > 0 {
         // Number of state changes this cycle; when a full cycle performs
         // none, every future change is gated on a known event cycle and
         // the idle stretch can be skipped wholesale (see below).
@@ -718,10 +720,9 @@ pub fn simulate_620(
         while dispatched < config.width
             && pending_gate.is_none()
             && cycle >= dispatch_blocked_until
-            && next_dispatch < entries.len()
             && w.len() < config.completion_buffer
         {
-            let e = &entries[next_dispatch];
+            let Some(e) = next_entry else { break };
             let fx = fu_ix(fu_of(e.kind));
             if w.rs_used[fx] >= rs_cap {
                 break;
@@ -775,7 +776,7 @@ pub fn simulate_620(
             // Register producers point only at in-window ops: retirement
             // clears them.
             let mut src_producers = [None, None];
-            for (k, src) in e.srcs.iter().enumerate() {
+            for (k, src) in e.srcs.into_iter().enumerate() {
                 if let Some(r) = src {
                     let p = reg_producer[r.flat_index()];
                     if let Some(p) = p {
@@ -819,6 +820,7 @@ pub fn simulate_620(
                 squashed_once: false,
             });
             w.refresh(seq);
+            next_entry = entries.next();
             next_dispatch += 1;
             dispatched += 1;
             if e.kind.is_mem() {
@@ -861,7 +863,7 @@ pub fn simulate_620(
                     event = t;
                 }
             }
-            if next_dispatch < entries.len() && dispatch_blocked_until > cycle {
+            if next_entry.is_some() && dispatch_blocked_until > cycle {
                 event = event.min(dispatch_blocked_until);
             }
             if event != u64::MAX {
@@ -956,7 +958,8 @@ mod reference {
         let mut mem = MemHierarchy::new(config.l1, config.l2, config.mem_latency);
         let mut banks = BankArbiter::new();
 
-        let entries = trace.entries();
+        let mut entries = trace.iter();
+        let mut next_entry = entries.next();
         let mut next_dispatch = 0usize;
         let mut load_index = 0usize;
 
@@ -981,7 +984,7 @@ mod reference {
         let mut cycle: u64 = 0;
         let mut last_progress: (u64, (u64, usize)) = (0, (0, 0));
 
-        while next_dispatch < entries.len() || !window.is_empty() {
+        while next_entry.is_some() || !window.is_empty() {
             // ---- 1. process verifications & squashes scheduled this cycle ----
             for i in 0..window.len() {
                 let (incorrect, vc, lseq, lfinish) = {
@@ -1169,10 +1172,9 @@ mod reference {
             while dispatched < config.width
                 && pending_gate.is_none()
                 && cycle >= dispatch_blocked_until
-                && next_dispatch < entries.len()
                 && window.len() < config.completion_buffer
             {
-                let e = &entries[next_dispatch];
+                let Some(e) = next_entry else { break };
                 let fu = fu_of(e.kind);
                 if rs_used[fu_index(fu)] >= rs_cap {
                     break;
@@ -1221,7 +1223,7 @@ mod reference {
                 };
 
                 let mut src_producers = [None, None];
-                for (k, src) in e.srcs.iter().enumerate() {
+                for (k, src) in e.srcs.into_iter().enumerate() {
                     if let Some(r) = src {
                         src_producers[k] = reg_producer[r.flat_index()];
                     }
@@ -1256,6 +1258,7 @@ mod reference {
                     operand_wait: 0,
                     squashed_once: false,
                 });
+                next_entry = entries.next();
                 next_dispatch += 1;
                 dispatched += 1;
                 if e.kind.is_mem() {

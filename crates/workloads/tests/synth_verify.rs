@@ -46,8 +46,8 @@ fn characterize(spec: &SynthSpec) -> Summary {
         .run_traced(&program, DEFAULT_FUEL)
         .expect("synth runs");
     let mut c = Characterizer::new(run.trace.len() as u64);
-    for e in run.trace.iter() {
-        c.observe(e);
+    for e in &run.trace {
+        c.observe(&e);
     }
     c.finish().summary
 }

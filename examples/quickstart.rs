@@ -40,8 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Phase 2a: measure value locality as in the paper's Figure 1.
     let mut meter = LocalityMeter::paper_default();
-    for entry in trace.iter() {
-        meter.observe(entry);
+    for entry in &trace {
+        meter.observe(&entry);
     }
     println!(
         "value locality: {:.1}% at depth 1, {:.1}% at depth 16",

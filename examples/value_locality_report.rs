@@ -27,8 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             stack: layout.stack_top() - (1 << 20)..layout.stack_top() + 1,
         };
         let mut meter = LocalityMeter::paper_default().with_ranges(ranges);
-        for entry in run.trace.iter() {
-            meter.observe(entry);
+        for entry in &run.trace {
+            meter.observe(&entry);
         }
         println!(
             "\n== profile {profile} ({} dynamic loads) ==",

@@ -10,7 +10,9 @@
 #                                 (3 runs, median) with the median run's
 #                                 `stages:` split (compile+trace, predict,
 #                                 time, cross-check, value-flow,
-#                                 characterize, total work).
+#                                 characterize, total work) and its peak
+#                                 RSS from the `memory:` line (null where
+#                                 /proc is unavailable).
 #
 # BENCH_0.json (interpreter era) and BENCH_1.json (fastsim engine) are
 # frozen earlier records and are never rewritten.
@@ -104,7 +106,7 @@ for i in 1 2 3; do
     secs=$(awk "BEGIN { printf \"%.2f\", ($end_ns - $start_ns) / 1e9 }")
     echo "    run $i: ${secs}s"
     runs="$runs $secs"
-    grep '^stages:' target/rebaseline_run.txt > "target/rebaseline_stages_$secs.txt"
+    grep -E '^(stages|memory):' target/rebaseline_run.txt > "target/rebaseline_stages_$secs.txt"
 done
 rm -f target/rebaseline_run.txt
 
@@ -119,6 +121,9 @@ stage() {
     grep -o "$1 [0-9][0-9.]*s" "$stages" | sed 's/.* //; s/s$//'
 }
 work=$(grep -o '[0-9][0-9.]*s work' "$stages" | sed 's/s work$//')
+# "memory: peak rss 312 MB, traces 161 MB", or "peak rss n/a".
+peak_rss=$(sed -n 's/^memory: peak rss \([0-9][0-9]*\) MB.*/\1/p' "$stages")
+peak_rss=${peak_rss:-null}
 set -- "$(stage 'compile+trace')" "$(stage predict)" "$(stage time)" \
     "$(stage cross-check)" "$(stage value-flow)" "$(stage characterize)"
 rm -f target/rebaseline_stages_*.txt
@@ -136,7 +141,8 @@ rm -f target/rebaseline_stages_*.txt
     printf '        "value-flow": %s,\n' "$5"
     printf '        "characterize": %s,\n' "$6"
     printf '        "work": %s\n' "$work"
-    echo '    }'
+    echo '    },'
+    printf '    "peak_rss_mb": %s\n' "$peak_rss"
     echo '}'
 } > BENCH_2.json
-echo "    wrote BENCH_2.json (median ${median}s; stages $1/$2/$3/$4/$5/$6s of ${work}s work)"
+echo "    wrote BENCH_2.json (median ${median}s; stages $1/$2/$3/$4/$5/$6s of ${work}s work; peak RSS ${peak_rss} MB)"

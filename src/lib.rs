@@ -45,8 +45,8 @@
 //! let mut machine = Machine::new(&program);
 //! let trace = machine.run_traced(100_000)?;
 //! let mut meter = LocalityMeter::with_depths(1024, &[1, 16]);
-//! for entry in trace.iter() {
-//!     meter.observe(entry);
+//! for entry in &trace {
+//!     meter.observe(&entry);
 //! }
 //! // The counter load sees a different value every iteration, but the two
 //! // `la`/TOC loads repeat the same pointer forever.

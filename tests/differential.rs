@@ -86,11 +86,7 @@ fn check_benchmark(w: &Workload, opt: OptLevel) {
         let interp_trace = interp
             .run_traced(DEFAULT_FUEL)
             .unwrap_or_else(|e| panic!("{tag}: interpreter faulted: {e}"));
-        assert_eq!(
-            fast_trace.entries(),
-            interp_trace.entries(),
-            "{tag}: trace entries"
-        );
+        assert_eq!(fast_trace, interp_trace, "{tag}: trace entries");
         assert_eq!(
             fast_trace.stats(),
             interp_trace.stats(),
@@ -103,18 +99,18 @@ fn check_benchmark(w: &Workload, opt: OptLevel) {
         );
     } else {
         // Stream the interpreter against the materialized fastsim trace
-        // so only one full entry vector is held at a time.
+        // so only one full trace is held at a time.
         let mut i = 0usize;
         let mut stats = TraceStats::default();
-        let expected = fast_trace.entries();
+        let mut expected = fast_trace.iter();
         interp
             .run_with(DEFAULT_FUEL, |e| {
-                assert_eq!(Some(e), expected.get(i), "{tag}: trace entry {i}");
+                assert_eq!(Some(*e), expected.next(), "{tag}: trace entry {i}");
                 stats.record(e);
                 i += 1;
             })
             .unwrap_or_else(|e| panic!("{tag}: interpreter faulted: {e}"));
-        assert_eq!(i, expected.len(), "{tag}: trace length");
+        assert_eq!(i, fast_trace.len(), "{tag}: trace length");
         assert_eq!(&stats, fast_trace.stats(), "{tag}: trace statistics");
     }
 

@@ -1,10 +1,13 @@
 //! Golden-trace fixtures: small committed LVPT-v2 files that pin the
 //! exact bytes both simulation engines must produce for the first 1,024
-//! retired instructions of three benchmarks. A change to instruction
-//! semantics, trace-entry layout, or the LVPT-v2 codec shows up here as
-//! a byte diff against a file under version control — catching silent
-//! format drift that in-process differential tests (which compare the
-//! two engines against *each other*) cannot see.
+//! retired instructions of three benchmarks. The prefixes pass through
+//! the in-memory `Trace` columns on their way to the writer, and each
+//! fixture must also survive a read and a rewrite byte for byte. A
+//! change to instruction semantics, the in-memory trace layout, or the
+//! LVPT-v2 codec shows up here as a byte diff against a file under
+//! version control — catching silent format drift that in-process
+//! differential tests (which compare the two engines against *each
+//! other*) cannot see.
 //!
 //! To regenerate after an intentional format change:
 //!
@@ -16,7 +19,7 @@ use std::path::PathBuf;
 
 use lvp::isa::AsmProfile;
 use lvp::sim::{FastSim, Machine, SimError};
-use lvp::trace::{Trace, TraceEntry};
+use lvp::trace::Trace;
 use lvp::workloads::Workload;
 
 /// How many leading entries each fixture pins.
@@ -31,17 +34,16 @@ fn fixture_path(name: &str) -> PathBuf {
         .join(format!("{name}_1k.lvpt"))
 }
 
-/// Serializes the first `PREFIX` entries produced by `collect` as an
-/// LVPT-v2 byte stream. Running out of fuel mid-program is the expected
-/// way to stop after a prefix; any other fault is a bug.
-fn prefix_bytes(entries: Vec<TraceEntry>, verdict: Result<u64, SimError>) -> Vec<u8> {
+/// Serializes the first `PREFIX` entries an engine pushed into `trace`
+/// as an LVPT-v2 byte stream. Running out of fuel mid-program is the
+/// expected way to stop after a prefix; any other fault is a bug.
+fn prefix_bytes(trace: &Trace, verdict: Result<u64, SimError>) -> Vec<u8> {
     match verdict {
         Ok(_) | Err(SimError::OutOfFuel { .. }) => {}
         Err(e) => panic!("prefix run faulted: {e}"),
     }
-    let trace = Trace::from_entries(entries);
     let mut bytes = Vec::new();
-    lvp::trace::write_trace(&mut bytes, &trace).expect("serializing to a Vec cannot fail");
+    lvp::trace::write_trace(&mut bytes, trace).expect("serializing to a Vec cannot fail");
     bytes
 }
 
@@ -49,18 +51,18 @@ fn fastsim_prefix(name: &str) -> Vec<u8> {
     let w = Workload::by_name(name).expect("fixture benchmark exists");
     let program = w.compile(AsmProfile::Toc).expect("fixture compiles");
     let mut sim = FastSim::new(&program);
-    let mut entries = Vec::with_capacity(PREFIX as usize);
-    let verdict = sim.run_with(PREFIX, |e| entries.push(*e));
-    prefix_bytes(entries, verdict)
+    let mut trace = Trace::new();
+    let verdict = sim.run_with(PREFIX, |e| trace.push(*e));
+    prefix_bytes(&trace, verdict)
 }
 
 fn interp_prefix(name: &str) -> Vec<u8> {
     let w = Workload::by_name(name).expect("fixture benchmark exists");
     let program = w.compile(AsmProfile::Toc).expect("fixture compiles");
     let mut machine = Machine::new(&program);
-    let mut entries = Vec::with_capacity(PREFIX as usize);
-    let verdict = machine.run_with(PREFIX, |e| entries.push(*e));
-    prefix_bytes(entries, verdict)
+    let mut trace = Trace::new();
+    let verdict = machine.run_with(PREFIX, |e| trace.push(*e));
+    prefix_bytes(&trace, verdict)
 }
 
 #[test]
@@ -108,6 +110,40 @@ fn fixtures_round_trip_through_the_reader() {
         assert!(
             trace.stats().loads > 0,
             "{name}: a 1k-instruction prefix should contain loads"
+        );
+        let mut rewritten = Vec::new();
+        lvp::trace::write_trace(&mut rewritten, &trace).expect("serializing to a Vec cannot fail");
+        assert!(
+            rewritten == bytes,
+            "{name}: read_trace then write_trace changed the fixture's bytes"
+        );
+    }
+}
+
+/// The in-memory layout's budget on real traces: 4 bytes per entry,
+/// plus 16 per memory access, 8 per branch event and 8 per entry whose
+/// pc the previous entry does not predict. Real code needs exactly one
+/// such override, at the first entry.
+#[test]
+fn fixture_traces_fit_the_column_budget() {
+    for name in FIXTURES {
+        let Ok(bytes) = std::fs::read(fixture_path(name)) else {
+            continue;
+        };
+        let trace = lvp::trace::read_trace(&bytes[..]).expect("fixture deserializes");
+        let (mut mem, mut branches, mut overrides) = (0, 0, 0);
+        let mut predicted = 0u64;
+        for e in &trace {
+            mem += usize::from(e.mem.is_some());
+            branches += usize::from(e.branch.is_some());
+            overrides += usize::from(e.pc != predicted);
+            predicted = e.branch.map_or(e.pc.wrapping_add(4), |b| b.target);
+        }
+        assert_eq!(overrides, 1, "{name}: pc overrides");
+        assert_eq!(
+            trace.heap_bytes(),
+            4 * trace.len() + 16 * mem + 8 * branches + 8 * overrides,
+            "{name}: column bytes"
         );
     }
 }

@@ -141,7 +141,7 @@ fn trace_round_trips_through_binary_format() {
     let mut buf = Vec::new();
     lvp::trace::write_trace(&mut buf, &trace).expect("write");
     let back = lvp::trace::read_trace(buf.as_slice()).expect("read");
-    assert_eq!(back.entries(), trace.entries());
+    assert_eq!(back, trace);
 
     // The reread trace drives the timing model to the identical result.
     let a = simulate_620(&trace, None, &Ppc620Config::base());

@@ -14,8 +14,8 @@ fn locality_of(name: &str, profile: AsmProfile) -> (f64, f64) {
     let w = Workload::by_name(name).expect("registered");
     let run = w.run(profile).expect("run");
     let mut meter = LocalityMeter::paper_default();
-    for e in run.trace.iter() {
-        meter.observe(e);
+    for e in &run.trace {
+        meter.observe(&e);
     }
     (meter.locality(1), meter.locality(16))
 }
@@ -57,8 +57,8 @@ fn address_loads_beat_data_loads() {
         stack: l.stack_top() - (1 << 20)..l.stack_top() + 1,
     };
     let mut meter = LocalityMeter::paper_default().with_ranges(ranges);
-    for e in run.trace.iter() {
-        meter.observe(e);
+    for e in &run.trace {
+        meter.observe(&e);
     }
     let data_addr = meter.class_locality(ValueClass::DataAddr, 1);
     let int_data = meter.class_locality(ValueClass::IntData, 1);
