@@ -23,14 +23,13 @@
 //! lvp characterize [names] [opts]     per-benchmark value metrics (--csv)
 //! lvp synth --profile P [--seed N]    generate an adversarial workload
 //!                                     (--scale bench|tiny --out FILE
-//!                                      --verify --list; own flag set)
+//!                                      --verify --list)
 //!
 //! options:
-//!   --profile toc|gp        codegen profile        (default toc)
+//!   --profile toc|gp        codegen profile        (default toc; under
+//!                           `synth`, a synth profile name)
 //!   --config  simple|constant|limit|perfect        (default simple)
 //!   --machine 620|620+|21164                       (default 620)
-//!   --engine  fast|interp   trace-generation engine (default fast;
-//!                           both trace-identical, interp is the oracle)
 //!   --top     N             rows in `profile`      (default 10)
 //!   --lint                  run the verifier after `asm`
 //!   --compare-lct           join static load classes vs the LCT (`check`)
@@ -41,11 +40,14 @@
 //!                           `simulate`, `bench`)
 //!   --cross-check           static/dynamic CVU oracle       (`check`)
 //!   --format text|json      `check` output format           (default text)
-//!   --out     FILE          output path for `trace pack`
+//!   --out     FILE          output path for `trace pack` and `synth`
 //!   --threads N             bench worker threads   (default: all CPUs)
 //!   --fast                  bench on the 4-workload smoke subset
 //!   --all                   bench every registered experiment
 //!   --csv                   bench output as CSV instead of text
+//!   --seed    N             `synth` generator seed  (default 1)
+//!   --scale   bench|tiny    `synth` program size    (default bench)
+//!   --verify                `synth` self-verification
 //! ```
 //!
 //! `<prog|workload>` is a suite workload name (`lvp suite` lists them), a
@@ -53,9 +55,9 @@
 
 use lvp_isa::{AsmProfile, Assembler, Program};
 use lvp_lang::OptLevel;
-use lvp_predictor::characterize::{Characterizer, Summary};
+use lvp_predictor::characterize::{Characterization, Characterizer, Summary};
 use lvp_predictor::presets;
-use lvp_predictor::{LoadProfiler, LocalityMeter, LvpConfig, LvpUnit, PredictorKind};
+use lvp_predictor::{LocalityMeter, LvpConfig, LvpUnit, PredictorKind};
 use lvp_sim::SimEngine;
 use lvp_trace::{dump_text, Trace};
 use lvp_uarch::{simulate_21164, simulate_620, Alpha21164Config, Ppc620Config};
@@ -154,16 +156,13 @@ pub struct Options {
     pub format: CheckFormat,
     /// Worker threads for `bench` (`None` = one per available CPU).
     pub threads: Option<usize>,
-    /// Simulation engine for trace generation (`--engine fast|interp`).
-    /// Both are trace-identical; `interp` is the differential oracle.
-    pub engine: SimEngine,
     /// Run `bench` on the fast 4-workload smoke subset.
     pub fast: bool,
     /// Run every registered experiment in `bench`.
     pub all: bool,
     /// Emit `bench` reports as CSV instead of fixed-width text.
     pub csv: bool,
-    /// Output path for `trace pack`.
+    /// Output path for `trace pack` and `synth`.
     pub out: Option<String>,
     /// Microbenchmarks selected with `--bench NAME` for `perf` (empty =
     /// whole registry, or the fast subset under `--fast`).
@@ -179,8 +178,19 @@ pub struct Options {
     /// Regression threshold for `perf --check`, in percent over the
     /// baseline median.
     pub threshold: u64,
-    /// List the `perf` bench registry instead of running it.
+    /// List the `perf` bench registry or the `synth` profiles instead of
+    /// running anything.
     pub list: bool,
+    /// The profile `synth` generates (`--profile` names a synth profile
+    /// under `synth`, not a codegen profile).
+    pub synth_profile: Option<SynthProfile>,
+    /// Generator seed for `synth`.
+    pub seed: u64,
+    /// Program size class for `synth`.
+    pub scale: SynthScale,
+    /// Under `synth`, compile, check, run and characterize the generated
+    /// program against its profile's declared bands.
+    pub verify: bool,
 }
 
 /// Output format for `lvp check`.
@@ -222,7 +232,6 @@ impl Default for Options {
             cross_check: false,
             format: CheckFormat::Text,
             threads: None,
-            engine: SimEngine::default(),
             fast: false,
             all: false,
             csv: false,
@@ -233,18 +242,23 @@ impl Default for Options {
             check: false,
             threshold: 10,
             list: false,
+            synth_profile: None,
+            seed: 1,
+            scale: SynthScale::Bench,
+            verify: false,
         }
     }
 }
 
 /// Parses `--flag value` pairs (and the valueless `--lint` /
-/// `--compare-lct` switches) from `args`, returning the options and the
-/// remaining positional arguments.
+/// `--compare-lct` switches) from the arguments `args` that follow the
+/// command `cmd`, returning the options and the remaining positional
+/// arguments. Under `synth`, `--profile` names a synth profile.
 ///
 /// # Errors
 ///
 /// Returns [`CliError`] for unknown flags or bad values.
-pub fn parse_options(args: &[String]) -> Result<(Options, Vec<String>), CliError> {
+pub fn parse_options(cmd: &str, args: &[String]) -> Result<(Options, Vec<String>), CliError> {
     let mut opts = Options::default();
     let mut positional = Vec::new();
     let mut i = 0;
@@ -257,6 +271,14 @@ pub fn parse_options(args: &[String]) -> Result<(Options, Vec<String>), CliError
                 .ok_or_else(|| CliError::new(format!("{a} requires a value")))
         };
         match a.as_str() {
+            "--profile" if cmd == "synth" => {
+                let v = take_value(&mut i)?;
+                opts.synth_profile = Some(SynthProfile::parse(&v).ok_or_else(|| {
+                    CliError::new(format!(
+                        "unknown synth profile `{v}` (run `lvp synth --list`)"
+                    ))
+                })?);
+            }
             "--profile" => {
                 opts.profile = match take_value(&mut i)?.as_str() {
                     "toc" => AsmProfile::Toc,
@@ -309,10 +331,15 @@ pub fn parse_options(args: &[String]) -> Result<(Options, Vec<String>), CliError
                 }
                 opts.threads = Some(n);
             }
-            "--engine" => {
+            "--seed" => {
+                opts.seed = take_value(&mut i)?
+                    .parse()
+                    .map_err(|_| CliError::new("--seed requires a number"))?;
+            }
+            "--scale" => {
                 let v = take_value(&mut i)?;
-                opts.engine = SimEngine::parse(&v).ok_or_else(|| {
-                    CliError::new(format!("unknown engine `{v}` (expected fast|interp)"))
+                opts.scale = SynthScale::parse(&v).ok_or_else(|| {
+                    CliError::new(format!("unknown scale `{v}` (expected bench|tiny)"))
                 })?;
             }
             "--format" => {
@@ -333,6 +360,7 @@ pub fn parse_options(args: &[String]) -> Result<(Options, Vec<String>), CliError
             "--json" => opts.json = true,
             "--check" => opts.check = true,
             "--list" => opts.list = true,
+            "--verify" => opts.verify = true,
             "--lint" => opts.lint = true,
             "--compare-lct" => opts.compare_lct = true,
             "--memory" => opts.memory = true,
@@ -398,8 +426,8 @@ pub fn load_program_with(
     )))
 }
 
-fn trace_program(program: &Program, engine: SimEngine) -> Result<(Trace, Vec<u64>), CliError> {
-    let run = engine
+fn trace_program(program: &Program) -> Result<(Trace, Vec<u64>), CliError> {
+    let run = SimEngine::Fast
         .run_traced(program, 200_000_000)
         .map_err(|e| CliError::new(e.to_string()))?;
     Ok((run.trace, run.output))
@@ -428,7 +456,7 @@ pub fn cmd_suite() -> String {
 /// Propagates program-resolution and simulation errors.
 pub fn cmd_run(target: &str, opts: &Options) -> Result<String, CliError> {
     let program = load_program_with(target, opts.profile, opts.opt)?;
-    let (trace, output) = trace_program(&program, opts.engine)?;
+    let (trace, output) = trace_program(&program)?;
     let s = trace.stats();
     let mut out = String::new();
     let _ = writeln!(out, "output: {output:?}");
@@ -642,7 +670,7 @@ pub fn cmd_check(target: &str, opts: &Options) -> Result<String, CliError> {
     let diags = static_diagnostics(&program, opts.memory, opts.value_flow);
     let cell = cell_label(target, opts.profile, opts.opt);
     let (report, vf_report) = if opts.cross_check {
-        let (trace, _) = trace_program(&program, opts.engine)?;
+        let (trace, _) = trace_program(&program)?;
         let cross = lvp_harness::cross_check(&program, &trace, &opts.config, cell.clone());
         let vf = opts
             .value_flow
@@ -735,7 +763,7 @@ pub fn cmd_check(target: &str, opts: &Options) -> Result<String, CliError> {
         let _ = writeln!(out, "value-flow: PASS");
     }
     if opts.compare_lct {
-        let (trace, _) = trace_program(&program, opts.engine)?;
+        let (trace, _) = trace_program(&program)?;
         let mut unit = LvpUnit::new(opts.config.clone());
         let _ = unit.annotate(&trace);
         let static_loads = lvp_analyze::classify_loads(&program);
@@ -870,7 +898,7 @@ pub fn cmd_check_all(opts: &Options) -> Result<String, CliError> {
 /// Propagates program-resolution and simulation errors.
 pub fn cmd_locality(target: &str, opts: &Options) -> Result<String, CliError> {
     let program = load_program_with(target, opts.profile, opts.opt)?;
-    let (trace, _) = trace_program(&program, opts.engine)?;
+    let (trace, _) = trace_program(&program)?;
     let mut meter = LocalityMeter::paper_default();
     for e in &trace {
         meter.observe(&e);
@@ -912,7 +940,7 @@ fn apply_static_hints(unit: &mut LvpUnit, program: &Program, opts: &Options) {
 /// Propagates program-resolution and simulation errors.
 pub fn cmd_annotate(target: &str, opts: &Options) -> Result<String, CliError> {
     let program = load_program_with(target, opts.profile, opts.opt)?;
-    let (trace, _) = trace_program(&program, opts.engine)?;
+    let (trace, _) = trace_program(&program)?;
     let mut unit = LvpUnit::new(opts.config.clone());
     apply_static_hints(&mut unit, &program, opts);
     let _ = unit.annotate(&trace);
@@ -937,38 +965,35 @@ pub fn cmd_annotate(target: &str, opts: &Options) -> Result<String, CliError> {
 /// Propagates program-resolution and simulation errors.
 pub fn cmd_profile(target: &str, opts: &Options) -> Result<String, CliError> {
     let program = load_program_with(target, opts.profile, opts.opt)?;
-    let (trace, _) = trace_program(&program, opts.engine)?;
-    let mut profiler = LoadProfiler::new();
-    for e in &trace {
-        profiler.observe(&e);
-    }
-    let report = profiler.report();
+    let (trace, _) = trace_program(&program)?;
+    let Characterization { summary, pcs } = Characterizer::from_trace(&trace);
+    let top_loads: u64 = pcs.iter().take(opts.top).map(|p| p.count).sum();
     let mut out = format!(
         "{} static loads; top {} cover {:.1}% of dynamic loads\n\n",
-        profiler.static_loads(),
+        pcs.len(),
         opts.top,
-        100.0 * profiler.coverage_of_top(opts.top)
+        100.0 * top_loads as f64 / summary.loads.max(1) as f64
     );
     let _ = writeln!(
         out,
         "{:>10}  {:>9}  {:>8}  {:>8}  kind",
         "pc", "count", "local@1", "values"
     );
-    for s in report.iter().take(opts.top) {
-        let values = if s.distinct_values as usize >= LoadProfiler::DISTINCT_CAP {
+    for p in pcs.iter().take(opts.top) {
+        let values = if p.distinct > 16 {
             ">16".to_string()
         } else {
-            s.distinct_values.to_string()
+            p.distinct.to_string()
         };
         let _ = writeln!(
             out,
             "{:#10x}  {:>9}  {:>7.1}%  {:>8}  {}{}",
-            s.pc,
-            s.count,
-            100.0 * s.locality(),
+            p.pc,
+            p.count,
+            100.0 * p.repeat_rate,
             values,
-            if s.fp { "fp" } else { "int" },
-            if s.is_constant() { " constant" } else { "" }
+            if p.fp { "fp" } else { "int" },
+            if p.distinct == 1 { " constant" } else { "" }
         );
     }
     Ok(out)
@@ -982,7 +1007,7 @@ pub fn cmd_profile(target: &str, opts: &Options) -> Result<String, CliError> {
 /// Propagates program-resolution and simulation errors.
 pub fn cmd_trace(target: &str, opts: &Options) -> Result<String, CliError> {
     let program = load_program_with(target, opts.profile, opts.opt)?;
-    let (trace, _) = trace_program(&program, opts.engine)?;
+    let (trace, _) = trace_program(&program)?;
     let text = dump_text(&trace);
     let mut out: String = text
         .lines()
@@ -1005,7 +1030,7 @@ pub fn cmd_trace(target: &str, opts: &Options) -> Result<String, CliError> {
 fn load_trace_for_pack(target: &str, opts: &Options) -> Result<Trace, CliError> {
     if Workload::by_name(target).is_some() || target.ends_with(".mc") || target.ends_with(".s") {
         let program = load_program_with(target, opts.profile, opts.opt)?;
-        let (trace, _) = trace_program(&program, opts.engine)?;
+        let (trace, _) = trace_program(&program)?;
         return Ok(trace);
     }
     let text = std::fs::read_to_string(target)
@@ -1073,7 +1098,6 @@ pub fn cmd_trace_verify(file: &str) -> Result<String, CliError> {
         std::fs::File::open(file).map_err(|e| CliError::new(format!("cannot read {file}: {e}")))?;
     let mut reader = lvp_trace::TraceReader::new(std::io::BufReader::new(f))
         .map_err(|e| CliError::new(format!("{file}: {e}")))?;
-    let version = reader.version();
     let mut loads = 0u64;
     for entry in reader.by_ref() {
         let e = entry.map_err(|e| CliError::new(format!("{file}: {e}")))?;
@@ -1082,7 +1106,8 @@ pub fn cmd_trace_verify(file: &str) -> Result<String, CliError> {
         }
     }
     Ok(format!(
-        "{file}: ok (LVPT v{version}, {} entries, {} blocks, {loads} loads, checksums verified)\n",
+        "{file}: ok (LVPT v{}, {} entries, {} blocks, {loads} loads, checksums verified)\n",
+        lvp_trace::FORMAT_VERSION,
         reader.entries_read(),
         reader.blocks_read(),
     ))
@@ -1099,22 +1124,12 @@ pub fn cmd_trace_info(file: &str) -> Result<String, CliError> {
         std::fs::File::open(file).map_err(|e| CliError::new(format!("cannot read {file}: {e}")))?;
     let reader = lvp_trace::TraceReader::new(std::io::BufReader::new(f))
         .map_err(|e| CliError::new(format!("{file}: {e}")))?;
-    let mut out = format!(
-        "{file}: LVPT v{}, {} entries declared",
-        reader.version(),
-        reader.declared_entries()
-    );
-    if reader.version() == lvp_trace::FORMAT_VERSION {
-        let _ = write!(
-            out,
-            ", {} payload bytes, per-block CRC32",
-            reader.payload_len()
-        );
-    } else {
-        let _ = write!(out, ", legacy unframed records (no checksums)");
-    }
-    out.push('\n');
-    Ok(out)
+    Ok(format!(
+        "{file}: LVPT v{}, {} entries declared, {} payload bytes, per-block CRC32\n",
+        lvp_trace::FORMAT_VERSION,
+        reader.declared_entries(),
+        reader.payload_len()
+    ))
 }
 
 /// `lvp simulate <target>` — cycle-accurate run under `--machine`, with
@@ -1125,7 +1140,7 @@ pub fn cmd_trace_info(file: &str) -> Result<String, CliError> {
 /// Propagates program-resolution and simulation errors.
 pub fn cmd_simulate(target: &str, opts: &Options) -> Result<String, CliError> {
     let program = load_program_with(target, opts.profile, opts.opt)?;
-    let (trace, _) = trace_program(&program, opts.engine)?;
+    let (trace, _) = trace_program(&program)?;
     let mut unit = LvpUnit::new(opts.config.clone());
     apply_static_hints(&mut unit, &program, opts);
     let outcomes = unit.annotate(&trace);
@@ -1163,8 +1178,8 @@ pub fn cmd_simulate(target: &str, opts: &Options) -> Result<String, CliError> {
 }
 
 /// Builds the shared harness [`lvp_harness::Engine`] from the common
-/// `--fast` / `--threads` / `--predictor` / `--static-hints` /
-/// `--engine` flags (used by `bench`, `characterize` and `check --all`).
+/// `--fast` / `--threads` / `--predictor` / `--static-hints` flags (used
+/// by `bench`, `characterize` and `check --all`).
 fn build_engine(opts: &Options) -> lvp_harness::Engine {
     let mut engine = if opts.fast {
         lvp_harness::Engine::fast()
@@ -1177,9 +1192,7 @@ fn build_engine(opts: &Options) -> lvp_harness::Engine {
     if let Some(kind) = opts.predictor {
         engine = engine.with_predictor(kind);
     }
-    engine
-        .with_static_hints(opts.static_hints)
-        .with_sim_engine(opts.engine)
+    engine.with_static_hints(opts.static_hints)
 }
 
 /// `lvp bench` with no arguments — lists the experiment registry.
@@ -1365,8 +1378,7 @@ fn summary_metric(s: &Summary, m: TargetMetric) -> f64 {
     }
 }
 
-/// `lvp synth` usage (the subcommand owns its flag set: `--profile`
-/// takes a synth profile name here, not `toc|gp`).
+/// `lvp synth` usage.
 const SYNTH_USAGE: &str = "usage: lvp synth --profile <name> [--seed N] [--scale bench|tiny] \
                            [--out FILE] [--verify]\n       lvp synth --list\n";
 
@@ -1383,66 +1395,23 @@ const SYNTH_USAGE: &str = "usage: lvp synth --profile <name> [--seed N] [--scale
 ///
 /// Usage errors exit 2; a violated tolerance band or lint finding under
 /// `--verify` is a findings error (exit 1) with the measured values.
-pub fn cmd_synth(args: &[String]) -> Result<String, CliError> {
-    let mut profile: Option<SynthProfile> = None;
-    let mut seed: u64 = 1;
-    let mut scale = SynthScale::Bench;
-    let mut out_path: Option<String> = None;
-    let mut verify = false;
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        let take_value = |i: &mut usize| -> Result<String, CliError> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| CliError::new(format!("{a} requires a value")))
-        };
-        match a.as_str() {
-            "--profile" => {
-                let v = take_value(&mut i)?;
-                profile = Some(SynthProfile::parse(&v).ok_or_else(|| {
-                    CliError::new(format!(
-                        "unknown synth profile `{v}` (run `lvp synth --list`)"
-                    ))
-                })?);
-            }
-            "--seed" => {
-                seed = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| CliError::new("--seed requires a number"))?;
-            }
-            "--scale" => {
-                let v = take_value(&mut i)?;
-                scale = SynthScale::parse(&v).ok_or_else(|| {
-                    CliError::new(format!("unknown scale `{v}` (expected bench|tiny)"))
-                })?;
-            }
-            "--out" => out_path = Some(take_value(&mut i)?),
-            "--verify" => verify = true,
-            "--list" => {
-                let mut out = String::from("profiles:\n");
-                for p in SynthProfile::ALL {
-                    let _ = writeln!(out, "  {:15} {}", p.name(), p.description());
-                    for t in p.targets() {
-                        let _ = writeln!(out, "  {:15}   target {t}", "");
-                    }
-                }
-                return Ok(out);
-            }
-            other => {
-                return Err(CliError::new(format!(
-                    "unknown synth flag `{other}`\n\n{SYNTH_USAGE}"
-                )));
+pub fn cmd_synth(opts: &Options) -> Result<String, CliError> {
+    if opts.list {
+        let mut out = String::from("profiles:\n");
+        for p in SynthProfile::ALL {
+            let _ = writeln!(out, "  {:15} {}", p.name(), p.description());
+            for t in p.targets() {
+                let _ = writeln!(out, "  {:15}   target {t}", "");
             }
         }
-        i += 1;
+        return Ok(out);
     }
-    let Some(profile) = profile else {
+    let Some(profile) = opts.synth_profile else {
         return Err(CliError::new(format!(
             "synth requires --profile\n\n{SYNTH_USAGE}"
         )));
     };
+    let (seed, scale) = (opts.seed, opts.scale);
     let spec = SynthSpec {
         profile,
         seed,
@@ -1451,7 +1420,7 @@ pub fn cmd_synth(args: &[String]) -> Result<String, CliError> {
     let src = generate(&spec);
 
     let mut out = String::new();
-    if let Some(path) = &out_path {
+    if let Some(path) = &opts.out {
         if let Some(parent) = std::path::Path::new(path).parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent).map_err(|e| {
@@ -1471,7 +1440,7 @@ pub fn cmd_synth(args: &[String]) -> Result<String, CliError> {
         out.push_str(&src);
     }
 
-    if verify {
+    if opts.verify {
         let program = lvp_lang::compile(&src, AsmProfile::Toc)
             .map_err(|e| CliError::new(format!("{profile} seed {seed}: {e}")))?;
         let diags = lvp_analyze::verify(&program);
@@ -1652,15 +1621,13 @@ pub fn usage() -> &'static str {
      \x20                               names may include synth-* adversaries)\n\
      \x20 synth    --profile <name>     deterministic adversarial workloads\n\
      \x20                               (--seed N --scale bench|tiny --out FILE\n\
-     \x20                                --verify --list; own flag set)\n\
+     \x20                                --verify --list)\n\
      \x20 perf     [--list]             in-tree microbenchmarks; --check gates\n\
      \x20                               against results/perf_baseline.json\n\n\
      options: --profile toc|gp  --config simple|constant|limit|perfect\n\
      \x20        --predictor last-value|stride|context|store-to-load|hybrid\n\
      \x20        (backend for annotate/simulate/locality/check/bench)\n\
      \x20        --machine 620|620+|21164  --opt 0|1  --top N\n\
-     \x20        --engine fast|interp (trace-generation engine; both are\n\
-     \x20        trace-identical, `interp` is the differential oracle)\n\
      \x20        --lint (verify after asm)  --compare-lct (with check)\n\
      \x20        --memory (provenance lints LVP007-011, with check)\n\
      \x20        --value-flow (value-flow lints LVP012-021, with check)\n\
@@ -1685,13 +1652,7 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
     let Some(cmd) = args.first() else {
         return Err(CliError::new(usage()));
     };
-    let rest = &args[1..];
-    // `synth` owns its flag set (`--profile` means a synth profile
-    // there, not toc|gp), so it routes before the shared option parser.
-    if cmd == "synth" {
-        return cmd_synth(rest);
-    }
-    let (opts, positional) = parse_options(rest)?;
+    let (opts, positional) = parse_options(cmd, &args[1..])?;
     let target = || -> Result<&String, CliError> {
         positional
             .first()
@@ -1728,6 +1689,7 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
         }
         "bench" => cmd_bench(&positional, &opts),
         "characterize" => cmd_characterize(&positional, &opts),
+        "synth" => cmd_synth(&opts),
         "perf" => cmd_perf(&opts),
         "help" | "--help" | "-h" => Ok(usage().to_string()),
         other => Err(CliError::new(format!(
@@ -1747,17 +1709,20 @@ mod tests {
 
     #[test]
     fn option_parsing() {
-        let (o, pos) = parse_options(&args(&[
-            "xlisp",
-            "--profile",
-            "gp",
-            "--config",
-            "limit",
-            "--machine",
-            "21164",
-            "--top",
-            "5",
-        ]))
+        let (o, pos) = parse_options(
+            "simulate",
+            &args(&[
+                "xlisp",
+                "--profile",
+                "gp",
+                "--config",
+                "limit",
+                "--machine",
+                "21164",
+                "--top",
+                "5",
+            ]),
+        )
         .unwrap();
         assert_eq!(o.profile, AsmProfile::Gp);
         assert_eq!(o.config.name, "Limit");
@@ -1768,32 +1733,10 @@ mod tests {
 
     #[test]
     fn option_errors() {
-        assert!(parse_options(&args(&["--profile"])).is_err());
-        assert!(parse_options(&args(&["--profile", "mips"])).is_err());
-        assert!(parse_options(&args(&["--bogus"])).is_err());
-        assert!(parse_options(&args(&["--top", "abc"])).is_err());
-        assert!(parse_options(&args(&["--engine", "turbo"])).is_err());
-    }
-
-    #[test]
-    fn engine_flag_parses_and_engines_agree_end_to_end() {
-        assert_eq!(Options::default().engine, SimEngine::Fast);
-        let (o, _) = parse_options(&args(&["--engine", "interp"])).unwrap();
-        assert_eq!(o.engine, SimEngine::Interp);
-        let (o, _) = parse_options(&args(&["--engine", "fast"])).unwrap();
-        assert_eq!(o.engine, SimEngine::Fast);
-
-        // The same command under both engines prints identical output.
-        let fast = cmd_run("sc", &Options::default()).unwrap();
-        let interp = cmd_run(
-            "sc",
-            &Options {
-                engine: SimEngine::Interp,
-                ..Options::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(fast, interp);
+        assert!(parse_options("run", &args(&["--profile"])).is_err());
+        assert!(parse_options("run", &args(&["--profile", "mips"])).is_err());
+        assert!(parse_options("run", &args(&["--bogus"])).is_err());
+        assert!(parse_options("run", &args(&["--top", "abc"])).is_err());
     }
 
     #[test]
@@ -1825,11 +1768,14 @@ mod tests {
 
     #[test]
     fn annotate_with_static_hints_parses_and_runs() {
-        let (opts, rest) = parse_options(&[
-            "--static-hints".to_string(),
-            "--profile".into(),
-            "gp".into(),
-        ])
+        let (opts, rest) = parse_options(
+            "annotate",
+            &[
+                "--static-hints".to_string(),
+                "--profile".into(),
+                "gp".into(),
+            ],
+        )
         .unwrap();
         assert!(opts.static_hints);
         assert!(rest.is_empty());
@@ -1871,6 +1817,40 @@ mod tests {
         assert!(out.contains("static loads"));
         // summary + blank + header + 3 rows
         assert_eq!(out.lines().count(), 6, "unexpected layout: {out}");
+
+        // A program without loads has an empty table and 0% coverage.
+        let path = temp_file("noload.s");
+        std::fs::write(&path, "main:\n li a0, 1\n out a0\n halt\n").unwrap();
+        let out = cmd_profile(path.to_str().unwrap(), &Options::default()).unwrap();
+        assert!(
+            out.starts_with("0 static loads; top 10 cover 0.0% of dynamic loads\n"),
+            "{out}"
+        );
+        assert_eq!(out.lines().count(), 3, "{out}");
+
+        // The full report, pinned: constant tags, the `>16` distinct-value
+        // cap, count-then-pc order, the static-load count and the top-N
+        // coverage.
+        let out = dispatch(&args(&["profile", "xlisp", "--top", "12"])).unwrap();
+        let expected = [
+            "64 static loads; top 12 cover 72.2% of dynamic loads",
+            "",
+            "        pc      count   local@1    values  kind",
+            "   0x102ec      26820    100.0%         1  int constant",
+            "   0x102f8      26820     48.1%         2  int",
+            "   0x10318      10680    100.0%         1  int constant",
+            "   0x10324      10680     46.6%         2  int",
+            "   0x10358       7050    100.0%         1  int constant",
+            "   0x10364       7050     57.4%         2  int",
+            "   0x10254       4590    100.0%         1  int constant",
+            "   0x10258       4590      0.0%       >16  int",
+            "   0x10264       4590    100.0%         1  int constant",
+            "   0x1046c       4590      2.7%       >16  int",
+            "   0x10470       4590      8.5%         6  int",
+            "   0x10474       4590     98.7%         2  int",
+        ];
+        assert_eq!(out.lines().collect::<Vec<_>>(), expected, "{out}");
+        assert!(out.ends_with('\n'), "{out}");
     }
 
     #[test]
@@ -1958,35 +1938,45 @@ mod tests {
 
     #[test]
     fn bool_flags_parse_without_values() {
-        let (o, pos) = parse_options(&args(&["quick", "--lint", "--compare-lct"])).unwrap();
+        let (o, pos) =
+            parse_options("check", &args(&["quick", "--lint", "--compare-lct"])).unwrap();
         assert!(o.lint && o.compare_lct);
         assert_eq!(pos, vec!["quick"]);
     }
 
     #[test]
     fn bench_flags_parse() {
-        let (o, pos) =
-            parse_options(&args(&["table3", "--threads", "2", "--fast", "--csv"])).unwrap();
+        let (o, pos) = parse_options(
+            "bench",
+            &args(&["table3", "--threads", "2", "--fast", "--csv"]),
+        )
+        .unwrap();
         assert_eq!(o.threads, Some(2));
         assert!(o.fast && o.csv && !o.all);
         assert_eq!(pos, vec!["table3"]);
-        assert!(parse_options(&args(&["--threads", "0"])).is_err());
-        assert!(parse_options(&args(&["--threads", "two"])).is_err());
+        assert!(parse_options("bench", &args(&["--threads", "0"])).is_err());
+        assert!(parse_options("bench", &args(&["--threads", "two"])).is_err());
     }
 
     #[test]
     fn out_flag_parses() {
-        let (o, pos) = parse_options(&args(&["pack", "quick", "--out", "q.lvpt"])).unwrap();
+        let (o, pos) =
+            parse_options("trace", &args(&["pack", "quick", "--out", "q.lvpt"])).unwrap();
         assert_eq!(o.out.as_deref(), Some("q.lvpt"));
         assert_eq!(pos, vec!["pack", "quick"]);
-        assert!(parse_options(&args(&["--out"])).is_err());
+        assert!(parse_options("trace", &args(&["--out"])).is_err());
     }
 
     #[test]
-    fn trace_cache_flags_are_unknown() {
-        // There is no persistent trace cache to relocate or disable.
-        for flags in [&["--cache-dir", "/tmp/c"][..], &["--no-disk-cache"]] {
-            let err = parse_options(&args(flags)).unwrap_err();
+    fn removed_flags_are_unknown() {
+        // There is no persistent trace cache to relocate or disable, and
+        // no trace-generation engine to select.
+        for flags in [
+            &["--cache-dir", "/tmp/c"][..],
+            &["--no-disk-cache"],
+            &["--engine", "interp"],
+        ] {
+            let err = parse_options("run", &args(flags)).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{err}");
             assert!(err.to_string().contains("unknown flag"), "{err}");
         }
@@ -2019,7 +2009,7 @@ mod tests {
 
         // The unpacked text dump matches a direct in-process dump.
         let program = load_program("quick", AsmProfile::Toc).unwrap();
-        let (trace, _) = trace_program(&program, SimEngine::Fast).unwrap();
+        let (trace, _) = trace_program(&program).unwrap();
         assert_eq!(cmd_trace_unpack(file).unwrap(), dump_text(&trace));
 
         // A text dump can be re-packed into identical binary bytes.
@@ -2308,45 +2298,51 @@ mod tests {
 
     #[test]
     fn check_flags_parse() {
-        let (o, pos) = parse_options(&args(&[
-            "quick",
-            "--memory",
-            "--value-flow",
-            "--cross-check",
-            "--format",
-            "json",
-        ]))
+        let (o, pos) = parse_options(
+            "check",
+            &args(&[
+                "quick",
+                "--memory",
+                "--value-flow",
+                "--cross-check",
+                "--format",
+                "json",
+            ]),
+        )
         .unwrap();
         assert!(o.memory && o.value_flow && o.cross_check);
         assert_eq!(o.format, CheckFormat::Json);
         assert_eq!(pos, vec!["quick"]);
-        assert!(parse_options(&args(&["--format", "xml"])).is_err());
-        assert!(parse_options(&args(&["--format"])).is_err());
+        assert!(parse_options("check", &args(&["--format", "xml"])).is_err());
+        assert!(parse_options("check", &args(&["--format"])).is_err());
     }
 
     #[test]
     fn perf_flags_parse() {
-        let (o, pos) = parse_options(&args(&[
-            "--bench",
-            "alias_fixpoint",
-            "--bench",
-            "sim_620_256k",
-            "--json",
-            "--check",
-            "--baseline",
-            "b.json",
-            "--threshold",
-            "40",
-            "--list",
-        ]))
+        let (o, pos) = parse_options(
+            "perf",
+            &args(&[
+                "--bench",
+                "alias_fixpoint",
+                "--bench",
+                "sim_620_256k",
+                "--json",
+                "--check",
+                "--baseline",
+                "b.json",
+                "--threshold",
+                "40",
+                "--list",
+            ]),
+        )
         .unwrap();
         assert_eq!(o.bench, vec!["alias_fixpoint", "sim_620_256k"]);
         assert!(o.json && o.check && o.list);
         assert_eq!(o.baseline.as_deref(), Some("b.json"));
         assert_eq!(o.threshold, 40);
         assert!(pos.is_empty());
-        assert!(parse_options(&args(&["--threshold", "lots"])).is_err());
-        assert!(parse_options(&args(&["--bench"])).is_err());
+        assert!(parse_options("perf", &args(&["--threshold", "lots"])).is_err());
+        assert!(parse_options("perf", &args(&["--bench"])).is_err());
     }
 
     #[test]
@@ -2625,6 +2621,99 @@ mod tests {
         // synth-* names resolve through the pinned synth suite.
         let out = cmd_characterize(&args(&["quick", "synth-chase"]), &opts).unwrap();
         assert!(out.contains("synth-chase"), "{out}");
+    }
+
+    /// Seeded argument-vector fuzz: every vector names a command and
+    /// holds at least one unknown flag, malformed value or flag missing
+    /// its value, so no command may run; each must come back as a usage
+    /// error (exit 2, message for stderr) without panicking.
+    #[test]
+    fn malformed_argument_vectors_are_usage_errors() {
+        use lvp_trace::rng::Lcg;
+
+        const CASES: u64 = 2048;
+        let words = |s: &'static str| s.split_whitespace().collect::<Vec<_>>();
+        let commands = words(
+            "suite run asm locality annotate profile simulate trace check bench \
+             characterize synth perf help frobnicate",
+        );
+        let positionals =
+            words("quick xlisp synth-chase nonesuch prog.mc prog.s pack unpack verify info -x");
+        let switches = words(
+            "--json --check --list --lint --compare-lct --memory --value-flow \
+             --static-hints --cross-check --fast --all --csv --verify",
+        );
+        let unknown = words("--bogus --engine --cache-dir --no-disk-cache --top=5 -- --PROFILE");
+        // Every valued flag, with values some command accepts.
+        let valued: &[(&str, &[&str])] = &[
+            ("--profile", &["toc", "gp", "pointer-chase", "mix"]),
+            ("--config", &["simple", "constant", "limit", "perfect"]),
+            ("--predictor", &["last-value", "fcm", "s2l", "hybrid"]),
+            ("--machine", &["620", "620+", "21164"]),
+            ("--opt", &["0", "1"]),
+            ("--top", &["0", "12"]),
+            ("--threads", &["1", "2"]),
+            ("--format", &["text", "json"]),
+            ("--out", &["out.lvpt", "gen.mc"]),
+            ("--bench", &["alias_fixpoint", "nonesuch"]),
+            ("--baseline", &["b.json"]),
+            ("--threshold", &["0", "40"]),
+            ("--seed", &["7", "18446744073709551615"]),
+            ("--scale", &["bench", "tiny"]),
+        ];
+        // Values no command accepts.
+        let malformed: &[(&str, &[&str])] = &[
+            ("--profile", &["mips", ""]),
+            ("--config", &["bogus"]),
+            ("--predictor", &["oracle"]),
+            ("--machine", &["601"]),
+            ("--opt", &["2", "O1"]),
+            ("--top", &["abc", "-1"]),
+            ("--threads", &["0", "two"]),
+            ("--format", &["xml"]),
+            ("--threshold", &["lots"]),
+            ("--seed", &["x", "-1", "18446744073709551616"]),
+            ("--scale", &["huge"]),
+        ];
+
+        let mut rng = Lcg::new(0x1996_a5b1_0c11);
+        for case in 0..CASES {
+            // Items keep each valued flag next to its value, so a flag
+            // never swallows the poison as its value.
+            let mut items: Vec<Vec<&str>> = (0..rng.below(6))
+                .map(|_| match rng.below(3) {
+                    0 => vec![*rng.pick(&positionals)],
+                    1 => vec![*rng.pick(&switches)],
+                    _ => {
+                        let (flag, values) = rng.pick(valued);
+                        vec![*flag, *rng.pick(values)]
+                    }
+                })
+                .collect();
+            let missing_value = rng.chance(1, 3);
+            if !missing_value {
+                let poison = if rng.chance(1, 2) {
+                    vec![*rng.pick(&unknown)]
+                } else {
+                    let (flag, values) = rng.pick(malformed);
+                    vec![*flag, *rng.pick(values)]
+                };
+                items.insert(rng.below(items.len() as u64 + 1) as usize, poison);
+            }
+            let mut argv = vec![rng.pick(&commands).to_string()];
+            argv.extend(items.into_iter().flatten().map(String::from));
+            if missing_value {
+                argv.push(rng.pick(valued).0.to_string());
+            }
+
+            let err = match std::panic::catch_unwind(|| dispatch(&argv)) {
+                Ok(Err(e)) => e,
+                Ok(Ok(out)) => panic!("case {case}: {argv:?} ran:\n{out}"),
+                Err(_) => panic!("case {case}: {argv:?} panicked"),
+            };
+            assert_eq!(err.exit_code(), 2, "case {case}: {argv:?}: {err}");
+            assert!(!err.to_stdout(), "case {case}: {argv:?}: {err}");
+        }
     }
 
     #[test]

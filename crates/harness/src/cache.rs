@@ -188,10 +188,6 @@ impl<K: Eq + Hash + Clone, V> KeyedCache<K, V> {
         self.hits.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn clear(&self) {
-        self.slots.lock().expect("cache poisoned").clear();
-    }
-
     /// Sums `f` over the values cached so far; a slot still computing,
     /// or holding an error, adds nothing.
     pub(crate) fn sum_values(&self, f: impl Fn(&V) -> u64) -> u64 {
@@ -266,18 +262,6 @@ impl Cache {
     /// Bytes held by the cached traces' columns.
     pub(crate) fn trace_bytes(&self) -> u64 {
         self.traces.sum_values(|run| run.trace.heap_bytes() as u64)
-    }
-
-    /// Drops every cached trace, annotation and timing result (the
-    /// counters are preserved). Useful for long-lived embedders that
-    /// want to bound resident memory between experiment batches.
-    pub(crate) fn clear(&self) {
-        self.traces.clear();
-        self.annotations.clear();
-        self.timings.clear();
-        self.crosschecks.clear();
-        self.value_flows.clear();
-        self.characterizations.clear();
     }
 }
 

@@ -9,9 +9,8 @@ use lvp_isa::AsmProfile;
 use lvp_lang::OptLevel;
 use lvp_predictor::characterize::{Characterization, Characterizer};
 use lvp_predictor::{LvpConfig, LvpUnit, PredictorKind};
-use lvp_sim::SimEngine;
 use lvp_uarch::SimResult;
-use lvp_workloads::{Workload, WorkloadRun, DEFAULT_FUEL};
+use lvp_workloads::{Workload, WorkloadRun};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -20,63 +19,6 @@ use std::sync::{Arc, Mutex};
 /// floating-point benchmarks. Per-workload result rows are identical to
 /// a full run because every measurement is per-workload.
 pub const FAST_WORKLOADS: [&str; 4] = ["sc", "xlisp", "grep", "doduc"];
-
-/// Runs one workload end to end (phase 1): compile under `(profile,
-/// opt)`, simulate to completion, collect the trace, and validate the
-/// output against the workload's golden values.
-///
-/// # Errors
-///
-/// Returns [`HarnessError`] (phase [`Phase::Trace`]) if compilation
-/// fails, simulation faults or exhausts its fuel, or the self-check
-/// fails.
-pub fn run_workload(
-    w: &Workload,
-    profile: AsmProfile,
-    opt: OptLevel,
-) -> Result<WorkloadRun, HarnessError> {
-    run_workload_with(w, profile, opt, SimEngine::default())
-}
-
-/// [`run_workload`] on an explicit simulation engine. The engines are
-/// trace-identical (enforced by the differential suite), so the choice
-/// never affects results — only trace-generation wall time.
-///
-/// # Errors
-///
-/// Same conditions as [`run_workload`].
-pub fn run_workload_with(
-    w: &Workload,
-    profile: AsmProfile,
-    opt: OptLevel,
-    engine: SimEngine,
-) -> Result<WorkloadRun, HarnessError> {
-    let err = |e: &dyn std::fmt::Display| {
-        HarnessError::new(
-            Phase::Trace,
-            w.name,
-            format!("under {profile}/{opt:?}: {e}"),
-        )
-    };
-    if opt == OptLevel::O0 {
-        return w.run_with_engine(profile, engine).map_err(|e| err(&e));
-    }
-    // Optimized builds go through the compiler directly; the output is
-    // still golden-checked so a miscompiling optimizer fails loudly.
-    let program = lvp_lang::compile_with(w.source, profile, opt).map_err(|e| err(&e))?;
-    let run = engine
-        .run_traced(&program, DEFAULT_FUEL)
-        .map_err(|e| err(&e))?;
-    if run.output != w.expected_output() {
-        return Err(err(&format!("self-check failed; output {:?}", run.output)));
-    }
-    Ok(WorkloadRun {
-        trace: run.trace,
-        output: run.output,
-        checksum: run.checksum,
-        program,
-    })
-}
 
 /// The experiment engine: owns the worker budget, the workload suite
 /// under evaluation, and the process-wide caches.
@@ -89,7 +31,6 @@ pub struct Engine {
     suite: Vec<Workload>,
     predictor: Option<PredictorKind>,
     static_hints: bool,
-    sim_engine: SimEngine,
     cache: Cache,
 }
 
@@ -110,7 +51,6 @@ impl Engine {
             suite: lvp_workloads::suite(),
             predictor: None,
             static_hints: false,
-            sim_engine: SimEngine::default(),
             cache: Cache::new(),
         }
     }
@@ -160,19 +100,6 @@ impl Engine {
     /// Whether static predictor hints are applied to annotations.
     pub fn static_hints(&self) -> bool {
         self.static_hints
-    }
-
-    /// Selects the simulation engine used for phase-1 trace generation.
-    /// Both engines are trace-identical; [`SimEngine::Fast`] is the
-    /// default, [`SimEngine::Interp`] is the differential oracle.
-    pub fn with_sim_engine(mut self, engine: SimEngine) -> Engine {
-        self.sim_engine = engine;
-        self
-    }
-
-    /// The simulation engine used for trace generation.
-    pub fn sim_engine(&self) -> SimEngine {
-        self.sim_engine
     }
 
     /// Restricts the engine to a named workload subset: suite members
@@ -225,12 +152,6 @@ impl Engine {
     /// [`Trace::heap_bytes`](lvp_trace::Trace::heap_bytes).
     pub fn trace_bytes(&self) -> u64 {
         self.cache.trace_bytes()
-    }
-
-    /// Drops all cached traces/annotations/timings to release memory;
-    /// counters are preserved.
-    pub fn clear_cache(&self) {
-        self.cache.clear();
     }
 
     /// A pipeline context for ad-hoc (non-plan) use of the caches.
@@ -322,26 +243,33 @@ impl Ctx<'_> {
     }
 
     /// Phase 1, cached: the full workload run (trace + program +
-    /// output) for `(workload, profile, opt)`. Computed exactly once
-    /// per process and shared across all consumers.
+    /// output) for `(workload, profile, opt)`, from
+    /// [`Workload::run_at`]. Computed exactly once per process and
+    /// shared across all consumers.
     ///
     /// # Errors
     ///
-    /// Propagates [`run_workload`] failures.
+    /// Returns [`HarnessError`] (phase [`Phase::Trace`]) if compilation
+    /// fails, simulation faults or exhausts its fuel, or the self-check
+    /// fails.
     pub fn workload_run(
         &self,
         w: &Workload,
         profile: AsmProfile,
         opt: OptLevel,
     ) -> Result<Arc<WorkloadRun>, HarnessError> {
-        let w = *w;
         let cache = &self.engine.cache;
-        let sim_engine = self.engine.sim_engine;
         cache
             .traces
-            .get_or_compute(Self::trace_key(&w, profile, opt), move || {
+            .get_or_compute(Self::trace_key(w, profile, opt), || {
                 Self::timed(&cache.trace_ns, || {
-                    run_workload_with(&w, profile, opt, sim_engine)
+                    w.run_at(profile, opt).map_err(|e| {
+                        HarnessError::new(
+                            Phase::Trace,
+                            w.name,
+                            format!("under {profile}/{opt:?}: {e}"),
+                        )
+                    })
                 })
             })
     }

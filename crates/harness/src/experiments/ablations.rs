@@ -6,11 +6,11 @@ use crate::plan::{ExperimentPlan, MachineModel};
 use crate::report::{geo_mean, Cell, ExperimentTable, Report};
 use lvp_lang::OptLevel;
 use lvp_predictor::{
-    presets, BhrIndexedPredictor, ContextBackend, LoadProfiler, LocalityMeter, LvpConfig, Lvpt,
-    StridePredictor,
+    presets, BhrIndexedPredictor, ContextBackend, LocalityMeter, LvpConfig, Lvpt, StridePredictor,
 };
 use lvp_trace::OpKind;
 use lvp_uarch::{dataflow_limit, LatencyTable, Ppc620Config};
+use std::collections::HashSet;
 
 /// Ablation — LVPT size sweep: accuracy and coverage of the Simple
 /// configuration as the value table grows from 64 to 8192 entries.
@@ -223,14 +223,16 @@ pub(super) fn ablation_opt(engine: &Engine) -> Result<Report, HarnessError> {
         .map(|job, ctx| {
             let run = ctx.job_run(job)?;
             let mut meter = LocalityMeter::paper_default();
-            let mut profiler = LoadProfiler::new();
+            let mut load_pcs = HashSet::new();
             for e in &run.trace {
                 meter.observe(&e);
-                profiler.observe(&e);
+                if e.is_load() {
+                    load_pcs.insert(e.pc);
+                }
             }
             Ok((
                 run.trace.stats().instructions,
-                profiler.static_loads(),
+                load_pcs.len(),
                 meter.locality(1),
             ))
         });

@@ -54,7 +54,7 @@ pub mod valueflow;
 
 pub use cache::{Annotation, EngineStats};
 pub use crosscheck::{cross_check, CrossCheckReport, CrossCheckViolation, ViolationKind};
-pub use engine::{run_workload, run_workload_with, Ctx, Engine, FAST_WORKLOADS};
+pub use engine::{Ctx, Engine, FAST_WORKLOADS};
 pub use error::{ErrorKind, HarnessError, Phase};
 pub use experiments::{address_ranges, experiment, experiments, ExperimentDef};
 pub use perf::{

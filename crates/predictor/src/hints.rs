@@ -1,5 +1,5 @@
-//! Static predictor hints: a small versioned sidecar carrying per-load
-//! predictions from the static value-flow analysis into the LVP unit.
+//! Static predictor hints: per-load predictions carried from the static
+//! value-flow analysis into the LVP unit.
 //!
 //! Each [`StaticHint`] names a load pc, the backend the static analysis
 //! nominates for it, and a confidence in `0..=15`. Applying a table
@@ -13,20 +13,10 @@
 //!   moderate confidence boost, so the nominated backend wins the first
 //!   arbitrations and a wrong hint unlearns within a few loads.
 //!
-//! The wire format (`serialize`/`deserialize`) is deliberately tiny and
-//! versioned: magic `LVPH`, a `u16` version (currently 1), a `u32` hint
-//! count, then per hint `pc: u64`, `kind: u8`, `confidence: u8`, all
-//! little-endian. The sidecar travels next to packed traces and is
-//! consumed by `--static-hints` in the CLI and harness.
+//! The table is built in memory from each program's value-flow report
+//! and applied under `--static-hints` in the CLI and harness.
 
 use crate::predictor::PredictorKind;
-use std::fmt;
-
-/// Magic bytes opening a serialized hint table.
-pub const HINT_MAGIC: [u8; 4] = *b"LVPH";
-
-/// Current wire-format version.
-pub const HINT_VERSION: u16 = 1;
 
 /// Hint confidences live in `0..=15`, the same 4-bit scale as the
 /// hybrid arbiter's selector counters.
@@ -41,64 +31,6 @@ pub struct StaticHint {
     pub kind: PredictorKind,
     /// Confidence in `0..=15` (clamped on table construction).
     pub confidence: u8,
-}
-
-/// Error deserializing a hint sidecar.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HintError {
-    /// The input does not start with [`HINT_MAGIC`].
-    BadMagic,
-    /// The version field is not [`HINT_VERSION`].
-    UnsupportedVersion(u16),
-    /// The input ended before the declared hint count was read.
-    Truncated,
-    /// An unknown predictor-kind byte.
-    BadKind(u8),
-    /// A confidence byte above [`MAX_CONFIDENCE`].
-    BadConfidence(u8),
-}
-
-impl fmt::Display for HintError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HintError::BadMagic => f.write_str("hint sidecar does not start with LVPH magic"),
-            HintError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported hint sidecar version {v} (expected {HINT_VERSION})"
-                )
-            }
-            HintError::Truncated => f.write_str("hint sidecar truncated"),
-            HintError::BadKind(b) => write!(f, "unknown predictor-kind byte {b} in hint sidecar"),
-            HintError::BadConfidence(c) => {
-                write!(f, "hint confidence {c} out of range (max {MAX_CONFIDENCE})")
-            }
-        }
-    }
-}
-
-impl std::error::Error for HintError {}
-
-/// The stable wire byte for each predictor kind.
-const fn kind_code(kind: PredictorKind) -> u8 {
-    match kind {
-        PredictorKind::LastValue => 0,
-        PredictorKind::Stride => 1,
-        PredictorKind::Context => 2,
-        PredictorKind::StoreToLoad => 3,
-        PredictorKind::Hybrid => 4,
-    }
-}
-
-fn kind_from_code(b: u8) -> Option<PredictorKind> {
-    Some(match b {
-        0 => PredictorKind::LastValue,
-        1 => PredictorKind::Stride,
-        2 => PredictorKind::Context,
-        3 => PredictorKind::StoreToLoad,
-        4 => PredictorKind::Hybrid,
-        _ => return None,
-    })
 }
 
 /// A hint table: sorted by pc, one hint per pc (first wins on
@@ -142,84 +74,11 @@ impl HintTable {
     pub fn is_empty(&self) -> bool {
         self.hints.is_empty()
     }
-
-    /// Serializes to the versioned LVPH wire format.
-    pub fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(10 + 10 * self.hints.len());
-        out.extend_from_slice(&HINT_MAGIC);
-        out.extend_from_slice(&HINT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.hints.len() as u32).to_le_bytes());
-        for h in &self.hints {
-            out.extend_from_slice(&h.pc.to_le_bytes());
-            out.push(kind_code(h.kind));
-            out.push(h.confidence);
-        }
-        out
-    }
-
-    /// Deserializes a table, validating magic, version, kind bytes and
-    /// confidence range.
-    pub fn deserialize(bytes: &[u8]) -> Result<HintTable, HintError> {
-        if bytes.len() < 4 || bytes[..4] != HINT_MAGIC {
-            return Err(if bytes.len() < 4 {
-                HintError::Truncated
-            } else {
-                HintError::BadMagic
-            });
-        }
-        let rest = &bytes[4..];
-        if rest.len() < 6 {
-            return Err(HintError::Truncated);
-        }
-        let version = u16::from_le_bytes([rest[0], rest[1]]);
-        if version != HINT_VERSION {
-            return Err(HintError::UnsupportedVersion(version));
-        }
-        let count = u32::from_le_bytes([rest[2], rest[3], rest[4], rest[5]]) as usize;
-        let body = &rest[6..];
-        if body.len() < count * 10 {
-            return Err(HintError::Truncated);
-        }
-        let mut hints = Vec::with_capacity(count);
-        for chunk in body.chunks_exact(10).take(count) {
-            let pc = u64::from_le_bytes(chunk[..8].try_into().expect("8-byte pc"));
-            let kind = kind_from_code(chunk[8]).ok_or(HintError::BadKind(chunk[8]))?;
-            if chunk[9] > MAX_CONFIDENCE {
-                return Err(HintError::BadConfidence(chunk[9]));
-            }
-            hints.push(StaticHint {
-                pc,
-                kind,
-                confidence: chunk[9],
-            });
-        }
-        Ok(HintTable::new(hints))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> HintTable {
-        HintTable::new(vec![
-            StaticHint {
-                pc: 0x10040,
-                kind: PredictorKind::Stride,
-                confidence: 12,
-            },
-            StaticHint {
-                pc: 0x10020,
-                kind: PredictorKind::LastValue,
-                confidence: 15,
-            },
-            StaticHint {
-                pc: 0x10060,
-                kind: PredictorKind::StoreToLoad,
-                confidence: 10,
-            },
-        ])
-    }
 
     #[test]
     fn table_sorts_dedupes_and_clamps() {
@@ -247,60 +106,5 @@ mod tests {
         assert_eq!(h8.kind, PredictorKind::Stride, "first hint for a pc wins");
         assert_eq!(h8.confidence, MAX_CONFIDENCE, "clamped");
         assert!(t.get(12).is_none());
-    }
-
-    #[test]
-    fn round_trips_through_the_wire_format() {
-        let t = sample();
-        let bytes = t.serialize();
-        assert_eq!(&bytes[..4], b"LVPH");
-        let back = HintTable::deserialize(&bytes).unwrap();
-        assert_eq!(back, t);
-        // Every kind survives the trip.
-        for kind in PredictorKind::ALL {
-            let one = HintTable::new(vec![StaticHint {
-                pc: 0x10000,
-                kind,
-                confidence: 7,
-            }]);
-            assert_eq!(HintTable::deserialize(&one.serialize()).unwrap(), one);
-        }
-    }
-
-    #[test]
-    fn deserialize_rejects_malformed_input() {
-        assert_eq!(HintTable::deserialize(b"LV"), Err(HintError::Truncated));
-        assert_eq!(
-            HintTable::deserialize(b"NOPE\x01\x00\x00\x00\x00\x00"),
-            Err(HintError::BadMagic)
-        );
-        let mut v2 = sample().serialize();
-        v2[4] = 2;
-        assert_eq!(
-            HintTable::deserialize(&v2),
-            Err(HintError::UnsupportedVersion(2))
-        );
-        let mut short = sample().serialize();
-        short.truncate(short.len() - 1);
-        assert_eq!(HintTable::deserialize(&short), Err(HintError::Truncated));
-        let mut bad_kind = sample().serialize();
-        bad_kind[18] = 9; // first hint's kind byte
-        assert_eq!(
-            HintTable::deserialize(&bad_kind),
-            Err(HintError::BadKind(9))
-        );
-        let mut bad_conf = sample().serialize();
-        bad_conf[19] = 99; // first hint's confidence byte
-        assert_eq!(
-            HintTable::deserialize(&bad_conf),
-            Err(HintError::BadConfidence(99))
-        );
-    }
-
-    #[test]
-    fn empty_table_round_trips() {
-        let t = HintTable::default();
-        assert!(t.is_empty());
-        assert_eq!(HintTable::deserialize(&t.serialize()).unwrap(), t);
     }
 }

@@ -44,7 +44,6 @@
 //! assert!(unit.stats().accuracy() > 0.99);
 //! ```
 
-mod analysis;
 mod backends;
 mod bhr;
 pub mod characterize;
@@ -60,12 +59,11 @@ pub mod presets;
 mod stride;
 mod unit;
 
-pub use analysis::{LoadProfiler, StaticLoadStats};
 pub use backends::{ContextBackend, HybridBackend, StoreToLoadBackend, TwoDeltaStrideBackend};
 pub use bhr::BhrIndexedPredictor;
 pub use config::{CvuConfig, LctConfig, LvpConfig, LvpConfigBuilder, LvptConfig};
 pub use cvu::{Cvu, CvuVictim};
-pub use hints::{HintError, HintTable, StaticHint, HINT_MAGIC, HINT_VERSION, MAX_CONFIDENCE};
+pub use hints::{HintTable, StaticHint, MAX_CONFIDENCE};
 pub use lct::{Lct, LoadClass};
 pub use locality::{AddressRanges, LocalityMeter, ValueClass};
 pub use lvpt::Lvpt;

@@ -1,4 +1,5 @@
-//! Engine selection: the pre-decoded fastsim backend vs. the
+//! One entry point over both simulation engines: the pre-decoded
+//! fastsim backend that generates every trace, and the
 //! instruction-by-instruction interpreter it is differentially tested
 //! against.
 
@@ -6,47 +7,23 @@ use crate::fastsim::FastSim;
 use crate::machine::{Machine, SimError};
 use lvp_isa::Program;
 use lvp_trace::Trace;
-use std::fmt;
 
-/// Which functional-simulation backend generates traces.
+/// A functional-simulation backend.
 ///
 /// Both engines produce bit-identical `TraceEntry` streams, outputs,
 /// faults, and fuel accounting; [`SimEngine::Fast`] pre-decodes the
-/// program into micro-ops and is several times faster, and is the
-/// default everywhere. [`SimEngine::Interp`] is the original
+/// program into micro-ops, is several times faster, and generates every
+/// trace the experiments use. [`SimEngine::Interp`] is the original
 /// interpreter, retained as the differential-testing oracle.
-#[derive(Debug, Copy, Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Copy, Clone, PartialEq, Eq, Hash)]
 pub enum SimEngine {
     /// Pre-decoded micro-op engine ([`FastSim`]).
-    #[default]
     Fast,
     /// Instruction-by-instruction interpreter ([`Machine`]).
     Interp,
 }
 
 impl SimEngine {
-    /// All engines, oracle last (useful for differential sweeps).
-    pub fn all() -> [SimEngine; 2] {
-        [SimEngine::Fast, SimEngine::Interp]
-    }
-
-    /// Parses a CLI name (`fast` | `interp`).
-    pub fn parse(s: &str) -> Option<SimEngine> {
-        match s {
-            "fast" => Some(SimEngine::Fast),
-            "interp" => Some(SimEngine::Interp),
-            _ => None,
-        }
-    }
-
-    /// The CLI name of this engine.
-    pub fn name(self) -> &'static str {
-        match self {
-            SimEngine::Fast => "fast",
-            SimEngine::Interp => "interp",
-        }
-    }
-
     /// Runs `program` to completion on this engine, collecting the full
     /// trace and the architectural outputs the harness consumes.
     ///
@@ -77,12 +54,6 @@ impl SimEngine {
     }
 }
 
-impl fmt::Display for SimEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// The products of one traced engine run.
 #[derive(Debug, Clone)]
 pub struct EngineRun {
@@ -97,15 +68,6 @@ pub struct EngineRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_and_name_round_trip() {
-        for e in SimEngine::all() {
-            assert_eq!(SimEngine::parse(e.name()), Some(e));
-        }
-        assert_eq!(SimEngine::parse("warp"), None);
-        assert_eq!(SimEngine::default(), SimEngine::Fast);
-    }
 
     #[test]
     fn engines_agree_on_a_smoke_program() {

@@ -148,11 +148,6 @@ impl<'a> FastSim<'a> {
         self.fregs[f.number() as usize]
     }
 
-    /// Direct access to data memory, e.g. to inject inputs before running.
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
     /// Direct read access to data memory.
     pub fn memory(&self) -> &Memory {
         &self.mem

@@ -5,12 +5,12 @@
 //! [`lvp_trace::Trace`] (the paper used IBM's TRIP6000 and DEC's ATOM for
 //! this; see Section 5 of the paper).
 //!
-//! Two interchangeable engines implement this phase, selected by
+//! Two engines implement this phase, both reachable through
 //! [`SimEngine`]:
 //!
-//! * [`FastSim`] (the default) pre-decodes the program into a flat
-//!   micro-op array with fused superblock idioms and runs a tight
-//!   dispatch loop;
+//! * [`FastSim`] pre-decodes the program into a flat micro-op array with
+//!   fused superblock idioms and runs a tight dispatch loop; it
+//!   generates every trace the experiments use;
 //! * [`Machine`] interprets `Instr` variants one at a time and serves as
 //!   the differential-testing oracle.
 //!

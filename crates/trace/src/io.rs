@@ -1,17 +1,14 @@
 //! Compact binary serialization of traces (the **LVPT** format).
 //!
-//! Two on-disk versions exist. [`write_trace`] emits the current
-//! **version 2**, a checksummed, streamable block format; version 1
-//! files (the original flat format) remain readable through the same
-//! [`read_trace`]/[`TraceReader`](crate::TraceReader) entry points.
+//! [`write_trace`] emits **version 2**, a checksummed, streamable block
+//! format, and [`read_trace`]/[`TraceReader`](crate::TraceReader) read
+//! it back; any other version is rejected.
 //!
 //! ```text
-//! v2 header: magic "LVPT", version u16 = 2, reserved u16,
-//!            entry count u64, payload length u64 (bytes after header)
-//! v2 block:  entry count u32, byte length u32, crc32 u32,
-//!            then `byte length` bytes of consecutive records
-//! v1 header: magic "LVPT", version u16 = 1, reserved u16, entry count u64
-//!            (records follow immediately, unframed and unchecksummed)
+//! header:  magic "LVPT", version u16 = 2, reserved u16,
+//!          entry count u64, payload length u64 (bytes after header)
+//! block:   entry count u32, byte length u32, crc32 u32,
+//!          then `byte length` bytes of consecutive records
 //!
 //! record:  pc u64
 //!          kind u8
@@ -23,7 +20,7 @@
 //!          branch: target u64                    if present
 //! ```
 //!
-//! Every v2 block's CRC-32 covers its record bytes, so a flipped bit
+//! Every block's CRC-32 covers its record bytes, so a flipped bit
 //! anywhere in the payload surfaces as
 //! [`TraceIoError::ChecksumMismatch`] instead of silently corrupting an
 //! experiment. All malformed inputs produce a typed [`TraceIoError`] —
@@ -41,11 +38,10 @@ pub(crate) const MAGIC: &[u8; 4] = b"LVPT";
 /// embed serialized traces should include this so format bumps
 /// invalidate stale artifacts.
 pub const FORMAT_VERSION: u16 = 2;
-pub(crate) const VERSION_V1: u16 = 1;
-/// Records per v2 block; bounds both the writer's buffer and the
+/// Records per block; bounds both the writer's buffer and the
 /// reader's resident window.
 pub(crate) const BLOCK_ENTRIES: usize = 4096;
-/// v2 block header bytes: entry count u32 + byte length u32 + crc32 u32.
+/// Block header bytes: entry count u32 + byte length u32 + crc32 u32.
 pub(crate) const BLOCK_HEADER_BYTES: u64 = 12;
 /// Smallest possible record: pc + kind + flags + three operand bytes.
 pub(crate) const MIN_ENTRY_BYTES: u64 = 13;
@@ -70,7 +66,7 @@ pub enum TraceIoError {
         /// The most entries the stream could actually hold or deliver.
         limit: u64,
     },
-    /// A v2 block's payload does not match its stored CRC-32.
+    /// A block's payload does not match its stored CRC-32.
     ChecksumMismatch {
         /// Zero-based index of the failing block.
         block: u64,
@@ -286,7 +282,7 @@ pub(crate) fn kind_inconsistency(e: &TraceEntry) -> Option<&'static str> {
     }
 }
 
-/// Writes a trace in the current **LVPT v2** block format. A `&mut`
+/// Writes a trace in the **LVPT v2** block format. A `&mut`
 /// reference works as a writer too.
 ///
 /// Records are grouped into blocks of up to [`BLOCK_ENTRIES`] entries;
@@ -327,30 +323,8 @@ pub fn write_trace<W: Write>(mut writer: W, trace: &Trace) -> Result<(), TraceIo
     Ok(())
 }
 
-/// Writes a trace in the legacy **LVPT v1** flat format (no blocks, no
-/// checksums). Kept for compatibility fixtures and for tooling that must
-/// interoperate with pre-v2 artifacts; new code should use
-/// [`write_trace`].
-///
-/// # Errors
-///
-/// Returns any underlying I/O error.
-pub fn write_trace_v1<W: Write>(mut writer: W, trace: &Trace) -> Result<(), TraceIoError> {
-    writer.write_all(MAGIC)?;
-    writer.write_all(&VERSION_V1.to_le_bytes())?;
-    writer.write_all(&0u16.to_le_bytes())?;
-    writer.write_all(&(trace.len() as u64).to_le_bytes())?;
-    let mut buf = Vec::with_capacity(MAX_ENTRY_BYTES as usize);
-    for e in trace {
-        buf.clear();
-        encode_entry(&mut buf, &e);
-        writer.write_all(&buf)?;
-    }
-    Ok(())
-}
-
-/// Reads a complete trace previously written with [`write_trace`] (v2)
-/// or [`write_trace_v1`]. A `&mut` reference works as a reader too.
+/// Reads a complete trace previously written with [`write_trace`]. A
+/// `&mut` reference works as a reader too.
 ///
 /// This materializes the whole trace; use
 /// [`TraceReader`](crate::TraceReader) to stream entries instead.
@@ -431,15 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_round_trip() {
-        let t = sample_trace();
-        let mut buf = Vec::new();
-        write_trace_v1(&mut buf, &t).unwrap();
-        let back = read_trace(buf.as_slice()).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
     fn multi_block_round_trip() {
         let t: Trace = (0..3 * BLOCK_ENTRIES as u64 + 7)
             .map(|i| TraceEntry::simple(0x10000 + 4 * i, OpKind::IntSimple))
@@ -489,13 +454,16 @@ mod tests {
         let mut t = Trace::new();
         t.push(TraceEntry::simple(0, OpKind::IntSimple));
         let mut buf = Vec::new();
-        write_trace_v1(&mut buf, &t).unwrap();
-        // v1 kind byte of first entry: header(16) + pc(8). (In v2 the
-        // same flip surfaces as a checksum mismatch first — see the
-        // corruption-matrix integration tests.)
-        buf[24] = 200;
+        write_trace(&mut buf, &t).unwrap();
+        // Kind byte of the first record: header(24) + block header(12) +
+        // pc(8). Recompute the block's CRC over the patched record so the
+        // decoder, not the checksum, sees the corruption.
+        let records = 24 + BLOCK_HEADER_BYTES as usize;
+        buf[records + 8] = 200;
+        let crc = crc32(&buf[records..]);
+        buf[records - 4..records].copy_from_slice(&crc.to_le_bytes());
         let err = read_trace(buf.as_slice()).unwrap_err();
-        assert!(matches!(err, TraceIoError::Corrupt("op kind")));
+        assert!(matches!(err, TraceIoError::Corrupt("op kind")), "{err:?}");
     }
 
     #[test]

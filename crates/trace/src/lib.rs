@@ -18,7 +18,7 @@
 //!   storing traces on disk — **LVPT v2**, a block format with per-block
 //!   CRC-32 checksums and a declared payload length, plus [`TraceReader`],
 //!   a streaming iterator that yields entries without materializing the
-//!   whole trace (legacy v1 streams remain readable).
+//!   whole trace.
 
 mod crc32;
 mod entry;
@@ -31,7 +31,7 @@ mod window;
 
 pub use crc32::crc32;
 pub use entry::{BranchEvent, MemAccess, OpKind, RegClass, RegRef, TraceEntry};
-pub use io::{read_trace, write_trace, write_trace_v1, TraceIoError, FORMAT_VERSION};
+pub use io::{read_trace, write_trace, TraceIoError, FORMAT_VERSION};
 pub use layout::{Iter, OpWord};
 pub use reader::TraceReader;
 pub use text::{dump_text, parse_text, ParseTraceError};

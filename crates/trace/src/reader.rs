@@ -1,17 +1,16 @@
 //! Streaming trace reader.
 //!
-//! [`TraceReader`] parses an LVPT header eagerly and then yields
-//! [`TraceEntry`] items on demand, holding at most one v2 block
+//! [`TraceReader`] parses an LVPT v2 header eagerly and then yields
+//! [`TraceEntry`] items on demand, holding at most one block
 //! (≤ [`BLOCK_ENTRIES`](crate::io) records) in memory — a multi-gigabyte
 //! trace file can be scanned, verified, or filtered without ever
-//! materializing a [`Trace`](crate::Trace). Both format versions are
-//! supported: v2 blocks are CRC-checked before any record in them is
-//! decoded, and v1 records stream straight off the reader.
+//! materializing a [`Trace`](crate::Trace). Each block is CRC-checked
+//! before any record in it is decoded.
 
 use crate::crc32::crc32;
 use crate::io::{
     decode_entry, read_exact_or_truncated, TraceIoError, BLOCK_ENTRIES, BLOCK_HEADER_BYTES,
-    FORMAT_VERSION, MAGIC, MAX_ENTRY_BYTES, MIN_ENTRY_BYTES, VERSION_V1,
+    FORMAT_VERSION, MAGIC, MAX_ENTRY_BYTES, MIN_ENTRY_BYTES,
 };
 use crate::TraceEntry;
 use std::io::Read;
@@ -21,8 +20,8 @@ use std::io::Read;
 /// Yields `Result<TraceEntry, TraceIoError>`; after the first error the
 /// iterator is fused (returns `None` forever). Construction parses and
 /// validates the header, so a reader you successfully build always has
-/// meaningful [`version`](TraceReader::version) /
-/// [`declared_entries`](TraceReader::declared_entries) values.
+/// meaningful [`declared_entries`](TraceReader::declared_entries) and
+/// [`payload_len`](TraceReader::payload_len) values.
 ///
 /// # Examples
 ///
@@ -44,15 +43,14 @@ use std::io::Read;
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     reader: R,
-    version: u16,
     declared: u64,
     yielded: u64,
-    /// v2 only: declared payload bytes after the header.
+    /// Declared payload bytes after the header.
     payload_len: u64,
-    /// v2 only: payload bytes not yet consumed.
+    /// Payload bytes not yet consumed.
     payload_left: u64,
     blocks_read: u64,
-    /// Current v2 block's record bytes (reused across blocks).
+    /// Current block's record bytes (reused across blocks).
     block: Vec<u8>,
     block_pos: usize,
     block_entries_left: u32,
@@ -77,38 +75,32 @@ impl<R: Read> TraceReader<R> {
         let mut hdr = [0u8; 4];
         read_exact_or_truncated(&mut reader, &mut hdr, "header")?;
         let version = u16::from_le_bytes([hdr[0], hdr[1]]);
-        if version != VERSION_V1 && version != FORMAT_VERSION {
+        if version != FORMAT_VERSION {
             return Err(TraceIoError::BadVersion(version));
         }
         let mut count_bytes = [0u8; 8];
         read_exact_or_truncated(&mut reader, &mut count_bytes, "header")?;
         let declared = u64::from_le_bytes(count_bytes);
-        let payload_len = if version == FORMAT_VERSION {
-            let mut len_bytes = [0u8; 8];
-            read_exact_or_truncated(&mut reader, &mut len_bytes, "header")?;
-            let payload_len = u64::from_le_bytes(len_bytes);
-            // Up-front plausibility check: every record is at least
-            // MIN_ENTRY_BYTES and every block adds a fixed header, so a
-            // wildly oversized declared count is rejected before any
-            // block is even read.
-            let blocks = declared.div_ceil(BLOCK_ENTRIES as u64);
-            if declared
-                .saturating_mul(MIN_ENTRY_BYTES)
-                .saturating_add(blocks.saturating_mul(BLOCK_HEADER_BYTES))
-                > payload_len
-            {
-                return Err(TraceIoError::BadCount {
-                    declared,
-                    limit: payload_len / MIN_ENTRY_BYTES,
-                });
-            }
-            payload_len
-        } else {
-            0
-        };
+        let mut len_bytes = [0u8; 8];
+        read_exact_or_truncated(&mut reader, &mut len_bytes, "header")?;
+        let payload_len = u64::from_le_bytes(len_bytes);
+        // Up-front plausibility check: every record is at least
+        // MIN_ENTRY_BYTES and every block adds a fixed header, so a
+        // wildly oversized declared count is rejected before any block
+        // is even read.
+        let blocks = declared.div_ceil(BLOCK_ENTRIES as u64);
+        if declared
+            .saturating_mul(MIN_ENTRY_BYTES)
+            .saturating_add(blocks.saturating_mul(BLOCK_HEADER_BYTES))
+            > payload_len
+        {
+            return Err(TraceIoError::BadCount {
+                declared,
+                limit: payload_len / MIN_ENTRY_BYTES,
+            });
+        }
         Ok(TraceReader {
             reader,
-            version,
             declared,
             yielded: 0,
             payload_len,
@@ -121,11 +113,6 @@ impl<R: Read> TraceReader<R> {
         })
     }
 
-    /// The stream's format version (1 or 2).
-    pub fn version(&self) -> u16 {
-        self.version
-    }
-
     /// The entry count the header declares.
     pub fn declared_entries(&self) -> u64 {
         self.declared
@@ -136,18 +123,17 @@ impl<R: Read> TraceReader<R> {
         self.yielded
     }
 
-    /// The payload length the v2 header declares (0 for v1 streams,
-    /// which carry no length field).
+    /// The payload length the header declares.
     pub fn payload_len(&self) -> u64 {
         self.payload_len
     }
 
-    /// Number of v2 blocks consumed (and checksum-verified) so far.
+    /// Number of blocks consumed (and checksum-verified) so far.
     pub fn blocks_read(&self) -> u64 {
         self.blocks_read
     }
 
-    /// Loads and checksum-verifies the next v2 block.
+    /// Loads and checksum-verifies the next block.
     fn next_block(&mut self) -> Result<(), TraceIoError> {
         if self.payload_left == 0 {
             // The declared payload is exhausted but the declared entry
@@ -195,17 +181,10 @@ impl<R: Read> TraceReader<R> {
 
     fn next_entry(&mut self) -> Result<Option<TraceEntry>, TraceIoError> {
         if self.yielded == self.declared {
-            if self.version == FORMAT_VERSION
-                && (self.payload_left != 0 || self.block_entries_left != 0)
-            {
+            if self.payload_left != 0 || self.block_entries_left != 0 {
                 return Err(TraceIoError::Corrupt("payload continues past entry count"));
             }
             return Ok(None);
-        }
-        if self.version == VERSION_V1 {
-            let entry = decode_entry(&mut self.reader)?;
-            self.yielded += 1;
-            return Ok(Some(entry));
         }
         if self.block_entries_left == 0 {
             self.next_block()?;
@@ -232,8 +211,7 @@ impl<R: Read> TraceReader<R> {
     /// cleanly exhausted.
     ///
     /// This is the batch hot path under [`read_trace`](crate::read_trace):
-    /// one call per v2 block (or per [`BLOCK_ENTRIES`] records of a v1
-    /// stream) lets consumers process `&[TraceEntry]` slices while
+    /// one call per block lets consumers process `&[TraceEntry]` slices while
     /// reusing a single buffer, instead of paying the iterator protocol
     /// per record. Error semantics are identical to iterating: the same
     /// [`TraceIoError`]s surface at the same records, and the reader
@@ -248,8 +226,8 @@ impl<R: Read> TraceReader<R> {
         if self.done {
             return Ok(0);
         }
-        // One v2 block, or an equally-sized batch of v1 records.
-        let batch = if self.version == VERSION_V1 || self.block_entries_left == 0 {
+        // The rest of the current block, or up to a full block's worth.
+        let batch = if self.block_entries_left == 0 {
             BLOCK_ENTRIES
         } else {
             self.block_entries_left as usize
@@ -332,7 +310,6 @@ mod tests {
         let mut buf = Vec::new();
         write_trace(&mut buf, &t).unwrap();
         let mut reader = TraceReader::new(buf.as_slice()).unwrap();
-        assert_eq!(reader.version(), FORMAT_VERSION);
         assert_eq!(reader.declared_entries(), n);
         let mut count = 0u64;
         for (i, e) in reader.by_ref().enumerate() {

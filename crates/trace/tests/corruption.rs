@@ -8,8 +8,8 @@
 //! exercised for every case.
 
 use lvp_trace::{
-    read_trace, write_trace, write_trace_v1, BranchEvent, MemAccess, OpKind, RegRef, Trace,
-    TraceEntry, TraceIoError, TraceReader,
+    read_trace, write_trace, BranchEvent, MemAccess, OpKind, RegRef, Trace, TraceEntry,
+    TraceIoError, TraceReader,
 };
 use std::panic::catch_unwind;
 
@@ -85,11 +85,15 @@ fn bad_magic_is_typed() {
 
 #[test]
 fn unsupported_version_is_typed() {
-    let mut buf = valid_v2_bytes();
-    buf[4] = 9;
-    let (a, b) = read_both(&buf);
-    assert!(matches!(a, TraceIoError::BadVersion(9)), "{a:?}");
-    assert!(matches!(b, TraceIoError::BadVersion(9)), "{b:?}");
+    // Version 1, the retired flat format, is as unsupported as any other.
+    for version in [1, 9] {
+        let mut buf = valid_v2_bytes();
+        buf[4] = version;
+        let (a, b) = read_both(&buf);
+        let v = u16::from(version);
+        assert!(matches!(a, TraceIoError::BadVersion(x) if x == v), "{a:?}");
+        assert!(matches!(b, TraceIoError::BadVersion(x) if x == v), "{b:?}");
+    }
 }
 
 #[test]
@@ -111,16 +115,6 @@ fn truncation_mid_record_is_typed() {
     let (a, b) = read_both(&buf);
     assert!(matches!(a, TraceIoError::Truncated(_)), "{a:?}");
     assert!(matches!(b, TraceIoError::Truncated(_)), "{b:?}");
-}
-
-#[test]
-fn truncation_mid_record_v1_is_typed() {
-    let mut buf = Vec::new();
-    write_trace_v1(&mut buf, &sample_trace()).unwrap();
-    buf.truncate(buf.len() - 3);
-    let (a, b) = read_both(&buf);
-    assert!(matches!(a, TraceIoError::Truncated("record")), "{a:?}");
-    assert!(matches!(b, TraceIoError::Truncated("record")), "{b:?}");
 }
 
 #[test]
@@ -252,13 +246,4 @@ fn kind_inconsistent_records_are_typed_despite_valid_checksums() {
         // A kind that needs neither field stays valid.
         assert!(read_trace(with_kind(record, 9).as_slice()).is_ok());
     }
-
-    // The v1 path, which has no checksums at all, rejects the same
-    // records: the first int op rewritten as a conditional branch.
-    let mut buf = Vec::new();
-    write_trace_v1(&mut buf, &sample_trace()).unwrap();
-    buf[16 + 8] = 6;
-    let (a, b) = read_both(&buf);
-    assert!(matches!(a, TraceIoError::Corrupt(_)), "{a:?}");
-    assert!(matches!(b, TraceIoError::Corrupt(_)), "{b:?}");
 }

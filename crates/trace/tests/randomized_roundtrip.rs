@@ -1,7 +1,6 @@
 //! Seeded, hand-rolled randomized roundtrip tests for the in-memory
 //! trace layout and the binary and text trace formats (no external
-//! property-testing dependency, per the offline build rule), plus the
-//! v1 → v2 compatibility test against a committed fixture.
+//! property-testing dependency, per the offline build rule).
 //!
 //! The generator first enumerates *every* combination of `OpKind` ×
 //! operand presence × memory variant (none / int / fp) × branch variant
@@ -17,10 +16,9 @@
 
 use lvp_trace::rng::Lcg;
 use lvp_trace::{
-    dump_text, parse_text, read_trace, write_trace, write_trace_v1, BranchEvent, MemAccess, OpKind,
-    RegRef, Trace, TraceEntry, TraceIoError, TraceReader, TraceStats,
+    dump_text, parse_text, read_trace, write_trace, BranchEvent, MemAccess, OpKind, RegRef, Trace,
+    TraceEntry, TraceIoError, TraceReader, TraceStats,
 };
-use std::path::PathBuf;
 
 const SEED: u64 = 0x5eed_1996_a5b1_05f6;
 
@@ -223,25 +221,19 @@ fn formats_reject_every_kind_inconsistent_combination() {
     assert!(rejected.len() >= 5 * 8 * 3, "{} rejected", rejected.len());
     for e in rejected {
         let trace: Trace = [e].into_iter().collect();
-        for v1 in [false, true] {
-            let mut buf = Vec::new();
-            if v1 {
-                write_trace_v1(&mut buf, &trace).unwrap();
-            } else {
-                write_trace(&mut buf, &trace).unwrap();
-            }
-            assert!(
-                matches!(read_trace(buf.as_slice()), Err(TraceIoError::Corrupt(_))),
-                "v1={v1}: {e:?} accepted"
-            );
-            assert!(
-                matches!(
-                    TraceReader::new(buf.as_slice()).unwrap().next(),
-                    Some(Err(TraceIoError::Corrupt(_)))
-                ),
-                "v1={v1}: {e:?} streamed"
-            );
-        }
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &trace).unwrap();
+        assert!(
+            matches!(read_trace(buf.as_slice()), Err(TraceIoError::Corrupt(_))),
+            "{e:?} accepted"
+        );
+        assert!(
+            matches!(
+                TraceReader::new(buf.as_slice()).unwrap().next(),
+                Some(Err(TraceIoError::Corrupt(_)))
+            ),
+            "{e:?} streamed"
+        );
         assert!(parse_text(&dump_text(&trace)).is_err(), "{e:?} parsed");
     }
 }
@@ -262,20 +254,6 @@ fn write_stream_write_is_byte_identical() {
     let mut second = Vec::new();
     write_trace(&mut second, &rebuilt).unwrap();
     assert_eq!(first, second, "write→stream-read→write must be stable");
-}
-
-#[test]
-fn v1_write_read_preserves_every_combination() {
-    let original = generated_trace();
-    let mut buf = Vec::new();
-    write_trace_v1(&mut buf, &original).unwrap();
-    let back = read_trace(buf.as_slice()).unwrap();
-    assert_eq!(back, original);
-
-    // v1 re-encoding is stable too.
-    let mut again = Vec::new();
-    write_trace_v1(&mut again, &back).unwrap();
-    assert_eq!(buf, again);
 }
 
 #[test]
@@ -344,113 +322,4 @@ fn text_parser_never_panics_on_printable_garbage() {
         }
         let _ = parse_text(std::str::from_utf8(&text).unwrap());
     }
-}
-
-// ---------------------------------------------------------------------
-// v1 → v2 compatibility fixture
-// ---------------------------------------------------------------------
-
-fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("fixtures")
-        .join("sample_v1.lvpt")
-}
-
-/// The exact trace committed in `tests/fixtures/sample_v1.lvpt`.
-fn fixture_trace() -> Trace {
-    let mut t = Trace::new();
-    t.push(TraceEntry::simple(0x10000, OpKind::IntSimple));
-    t.push(TraceEntry {
-        pc: 0x10004,
-        kind: OpKind::Load,
-        dst: Some(RegRef::int(10)),
-        srcs: [Some(RegRef::int(2)), None],
-        mem: Some(MemAccess {
-            addr: 0x10_0008,
-            width: 8,
-            value: u64::MAX,
-            fp: false,
-        }),
-        branch: None,
-    });
-    t.push(TraceEntry {
-        pc: 0x10008,
-        kind: OpKind::Store,
-        dst: None,
-        srcs: [Some(RegRef::int(2)), Some(RegRef::fp(4))],
-        mem: Some(MemAccess {
-            addr: 0x10_0010,
-            width: 4,
-            value: 42,
-            fp: true,
-        }),
-        branch: None,
-    });
-    t.push(TraceEntry {
-        pc: 0x1000c,
-        kind: OpKind::FpComplex,
-        dst: Some(RegRef::fp(1)),
-        srcs: [Some(RegRef::fp(2)), Some(RegRef::fp(3))],
-        mem: None,
-        branch: None,
-    });
-    t.push(TraceEntry {
-        pc: 0x10010,
-        kind: OpKind::CondBranch,
-        dst: None,
-        srcs: [Some(RegRef::int(5)), Some(RegRef::int(6))],
-        mem: None,
-        branch: Some(BranchEvent {
-            taken: true,
-            target: 0x10000,
-        }),
-    });
-    t.push(TraceEntry {
-        pc: 0x10014,
-        kind: OpKind::System,
-        dst: None,
-        srcs: [None, None],
-        mem: None,
-        branch: None,
-    });
-    t
-}
-
-/// A v2 reader must consume a committed, pre-v2 artifact byte-for-byte.
-#[test]
-fn committed_v1_fixture_reads_under_v2_reader() {
-    let bytes = std::fs::read(fixture_path())
-        .unwrap_or_else(|e| panic!("missing fixture {:?}: {e}", fixture_path()));
-
-    // The committed bytes are exactly what the v1 writer produces for
-    // the reference trace — the fixture can always be regenerated.
-    let mut expected_bytes = Vec::new();
-    write_trace_v1(&mut expected_bytes, &fixture_trace()).unwrap();
-    assert_eq!(bytes, expected_bytes, "fixture drifted from v1 writer");
-
-    // Streaming read.
-    let reader = TraceReader::new(bytes.as_slice()).unwrap();
-    assert_eq!(reader.version(), 1);
-    let streamed: Trace = reader.collect::<Result<_, _>>().unwrap();
-    assert_eq!(streamed, fixture_trace());
-
-    // Materializing read, then re-encode as v2 and read back.
-    let materialized = read_trace(bytes.as_slice()).unwrap();
-    let mut v2 = Vec::new();
-    write_trace(&mut v2, &materialized).unwrap();
-    let upgraded = read_trace(v2.as_slice()).unwrap();
-    assert_eq!(upgraded, fixture_trace());
-}
-
-/// Regenerates the committed fixture. Run manually after an intentional
-/// v1-layout change (which should never happen — v1 is frozen):
-/// `cargo test -p lvp-trace --test randomized_roundtrip regenerate -- --ignored`
-#[test]
-#[ignore = "writes tests/fixtures/sample_v1.lvpt"]
-fn regenerate_v1_fixture() {
-    let mut buf = Vec::new();
-    write_trace_v1(&mut buf, &fixture_trace()).unwrap();
-    std::fs::create_dir_all(fixture_path().parent().unwrap()).unwrap();
-    std::fs::write(fixture_path(), buf).unwrap();
 }

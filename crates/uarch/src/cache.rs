@@ -107,16 +107,6 @@ impl Cache {
         self.misses
     }
 
-    /// Miss rate in `0..=1` (0 when no accesses).
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-
     #[inline]
     fn set_and_tag(&self, addr: u64) -> (usize, u64) {
         let line_addr = addr >> self.set_shift;

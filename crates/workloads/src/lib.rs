@@ -35,7 +35,7 @@ pub use synth::{
 };
 
 use lvp_isa::{AsmProfile, Program};
-use lvp_lang::{compile, LangError};
+use lvp_lang::{compile, compile_with, LangError, OptLevel};
 use lvp_sim::{SimEngine, SimError};
 use lvp_trace::Trace;
 use std::fmt;
@@ -149,32 +149,27 @@ impl Workload {
         Ok(compile(self.source, profile)?)
     }
 
-    /// Compiles and runs the workload to completion, collecting its trace
-    /// and validating its self-check output. Uses the default (fast)
-    /// simulation engine; see [`Workload::run_with_engine`] to choose.
+    /// Compiles and runs the workload at `O0`; see [`Workload::run_at`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Workload::run_at`].
+    pub fn run(&self, profile: AsmProfile) -> Result<WorkloadRun, WorkloadError> {
+        self.run_at(profile, OptLevel::O0)
+    }
+
+    /// Compiles the workload under `(profile, opt)`, runs it to
+    /// completion on the fastsim engine collecting its trace, and
+    /// validates its self-check output. The golden output is the same at
+    /// every optimization level, so a miscompiling optimizer fails here.
     ///
     /// # Errors
     ///
     /// Returns [`WorkloadError`] if compilation fails, simulation faults,
     /// the fuel budget expires, or the self-check fails.
-    pub fn run(&self, profile: AsmProfile) -> Result<WorkloadRun, WorkloadError> {
-        self.run_with_engine(profile, SimEngine::default())
-    }
-
-    /// Compiles and runs the workload on a specific simulation engine.
-    /// Both engines produce bit-identical traces and outputs; the choice
-    /// only affects wall-clock time.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Workload::run`].
-    pub fn run_with_engine(
-        &self,
-        profile: AsmProfile,
-        engine: SimEngine,
-    ) -> Result<WorkloadRun, WorkloadError> {
-        let program = self.compile(profile)?;
-        let run = engine.run_traced(&program, DEFAULT_FUEL)?;
+    pub fn run_at(&self, profile: AsmProfile, opt: OptLevel) -> Result<WorkloadRun, WorkloadError> {
+        let program = compile_with(self.source, profile, opt)?;
+        let run = SimEngine::Fast.run_traced(&program, DEFAULT_FUEL)?;
         self.self_check(&run.output)?;
         Ok(WorkloadRun {
             trace: run.trace,
@@ -489,18 +484,6 @@ mod tests {
             m.run(DEFAULT_FUEL).unwrap();
             assert_eq!(m.output(), w.expected_output(), "{} diverged at O1", w.name);
         }
-    }
-
-    #[test]
-    fn engines_agree_on_a_workload() {
-        let w = Workload::by_name("quick").unwrap();
-        let fast = w.run_with_engine(AsmProfile::Toc, SimEngine::Fast).unwrap();
-        let interp = w
-            .run_with_engine(AsmProfile::Toc, SimEngine::Interp)
-            .unwrap();
-        assert_eq!(fast.output, interp.output);
-        assert_eq!(fast.checksum, interp.checksum);
-        assert_eq!(fast.trace.stats(), interp.trace.stats());
     }
 
     #[test]
