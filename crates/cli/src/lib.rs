@@ -53,6 +53,7 @@
 //! `<prog|workload>` is a suite workload name (`lvp suite` lists them), a
 //! mini-C file ending in `.mc`, or an assembly file ending in `.s`.
 
+use lvp_harness::MachineModel;
 use lvp_isa::{AsmProfile, Assembler, Program};
 use lvp_lang::OptLevel;
 use lvp_predictor::characterize::{Characterization, Characterizer, Summary};
@@ -60,7 +61,6 @@ use lvp_predictor::presets;
 use lvp_predictor::{LocalityMeter, LvpConfig, LvpUnit, PredictorKind};
 use lvp_sim::SimEngine;
 use lvp_trace::{dump_text, Trace};
-use lvp_uarch::{simulate_21164, simulate_620, Alpha21164Config, Ppc620Config};
 use lvp_workloads::{
     generate, SynthProfile, SynthScale, SynthSpec, TargetMetric, Workload, DEFAULT_FUEL,
 };
@@ -134,7 +134,7 @@ pub struct Options {
     /// [`lvp_harness::Engine::with_predictor`].
     pub predictor: Option<PredictorKind>,
     /// Machine model for `simulate`.
-    pub machine: MachineSel,
+    pub machine: MachineModel,
     /// Row limit for `profile`.
     pub top: usize,
     /// Run the static verifier after `asm`.
@@ -204,17 +204,6 @@ pub enum CheckFormat {
     Json,
 }
 
-/// Which timing model to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MachineSel {
-    /// PowerPC 620 (out-of-order baseline).
-    Ppc620,
-    /// PowerPC 620+ (widened).
-    Ppc620Plus,
-    /// Alpha 21164 (in-order).
-    Alpha21164,
-}
-
 impl Default for Options {
     fn default() -> Options {
         Options {
@@ -222,7 +211,7 @@ impl Default for Options {
             opt: OptLevel::O0,
             config: presets::simple(),
             predictor: None,
-            machine: MachineSel::Ppc620,
+            machine: MachineModel::ppc620(),
             top: 10,
             lint: false,
             compare_lct: false,
@@ -304,9 +293,9 @@ pub fn parse_options(cmd: &str, args: &[String]) -> Result<(Options, Vec<String>
             }
             "--machine" => {
                 opts.machine = match take_value(&mut i)?.as_str() {
-                    "620" => MachineSel::Ppc620,
-                    "620+" => MachineSel::Ppc620Plus,
-                    "21164" => MachineSel::Alpha21164,
+                    "620" => MachineModel::ppc620(),
+                    "620+" => MachineModel::ppc620_plus(),
+                    "21164" => MachineModel::alpha21164(),
                     other => return Err(CliError::new(format!("unknown machine `{other}`"))),
                 };
             }
@@ -516,23 +505,31 @@ fn render_diagnostics(target: &str, diags: &[lvp_analyze::Diagnostic]) -> String
 /// (LVP001-006), with `--memory` the provenance pass (LVP007-011), and
 /// with `--value-flow` the value-flow pass (LVP012/013/015/016; LVP014
 /// needs a trace and never appears here). The combined list is
-/// canonicalized by [`lvp_analyze::sort_and_dedupe`].
+/// canonicalized by [`lvp_analyze::sort_and_dedupe`]; the provenance and
+/// value-flow reports come back too, so no caller runs a pass twice.
 fn static_diagnostics(
     program: &Program,
-    memory: bool,
-    value_flow: bool,
-) -> Vec<lvp_analyze::Diagnostic> {
+    opts: &Options,
+) -> (
+    Vec<lvp_analyze::Diagnostic>,
+    Option<lvp_analyze::MemoryReport>,
+    Option<lvp_analyze::ValueFlowReport>,
+) {
     let mut diags = lvp_analyze::verify(program);
-    if memory {
-        diags.extend(lvp_analyze::analyze_memory(program).diagnostics);
+    let memory = opts.memory.then(|| lvp_analyze::analyze_memory(program));
+    let value_flow = opts
+        .value_flow
+        .then(|| lvp_analyze::analyze_value_flow(program));
+    if let Some(m) = &memory {
+        diags.extend_from_slice(&m.diagnostics);
     }
-    if value_flow {
-        diags.extend(lvp_analyze::analyze_value_flow(program).diagnostics);
+    if let Some(vf) = &value_flow {
+        diags.extend_from_slice(&vf.diagnostics);
     }
-    if memory || value_flow {
+    if memory.is_some() || value_flow.is_some() {
         lvp_analyze::sort_and_dedupe(&mut diags);
     }
-    diags
+    (diags, memory, value_flow)
 }
 
 /// Escapes a string for embedding in a JSON string literal.
@@ -667,14 +664,14 @@ fn cell_label(target: &str, profile: AsmProfile, opt: OptLevel) -> String {
 /// the full rendered report.
 pub fn cmd_check(target: &str, opts: &Options) -> Result<String, CliError> {
     let program = load_program_with(target, opts.profile, opts.opt)?;
-    let diags = static_diagnostics(&program, opts.memory, opts.value_flow);
+    let (diags, memory, value_flow) = static_diagnostics(&program, opts);
     let cell = cell_label(target, opts.profile, opts.opt);
     let (report, vf_report) = if opts.cross_check {
         let (trace, _) = trace_program(&program)?;
         let cross = lvp_harness::cross_check(&program, &trace, &opts.config, cell.clone());
-        let vf = opts
-            .value_flow
-            .then(|| lvp_harness::value_flow_check(&program, &trace, cell.clone()));
+        let vf = value_flow
+            .as_ref()
+            .map(|vf| lvp_harness::value_flow_check_with(vf, &trace, cell.clone()));
         (Some(cross), vf)
     } else {
         (None, None)
@@ -721,8 +718,7 @@ pub fn cmd_check(target: &str, opts: &Options) -> Result<String, CliError> {
         "{target}: ok ({} instructions, 0 diagnostics)\n",
         program.text().len()
     );
-    if opts.memory {
-        let memory = lvp_analyze::analyze_memory(&program);
+    if let Some(memory) = &memory {
         let _ = writeln!(
             out,
             "memory: {} load(s): {} must-constant, {} stack-local, {} unknown",
@@ -732,8 +728,7 @@ pub fn cmd_check(target: &str, opts: &Options) -> Result<String, CliError> {
             memory.count(lvp_analyze::MemClass::Unknown),
         );
     }
-    if opts.value_flow {
-        let vf = lvp_analyze::analyze_value_flow(&program);
+    if let Some(vf) = &value_flow {
         let _ = writeln!(
             out,
             "value-flow: {} load(s): {} must-constant, {} affine-stride, {} loop-invariant, {} forwardable, {} unknown",
@@ -796,7 +791,7 @@ pub fn cmd_check_all(opts: &Options) -> Result<String, CliError> {
                 let program = lvp_lang::compile_with(w.source, profile, opt).map_err(|e| {
                     CliError::new(format!("workload `{}` ({profile}/{opt:?}): {e}", w.name))
                 })?;
-                let diags = static_diagnostics(&program, opts.memory, opts.value_flow);
+                let (diags, _, _) = static_diagnostics(&program, opts);
                 cells.push((cell_label(w.name, profile, opt), diags));
             }
         }
@@ -1144,34 +1139,11 @@ pub fn cmd_simulate(target: &str, opts: &Options) -> Result<String, CliError> {
     let mut unit = LvpUnit::new(opts.config.clone());
     apply_static_hints(&mut unit, &program, opts);
     let outcomes = unit.annotate(&trace);
-    let (name, base, lvp) = match opts.machine {
-        MachineSel::Ppc620 => {
-            let m = Ppc620Config::base();
-            (
-                m.name,
-                simulate_620(&trace, None, &m),
-                simulate_620(&trace, Some(&outcomes), &m),
-            )
-        }
-        MachineSel::Ppc620Plus => {
-            let m = Ppc620Config::plus();
-            (
-                m.name,
-                simulate_620(&trace, None, &m),
-                simulate_620(&trace, Some(&outcomes), &m),
-            )
-        }
-        MachineSel::Alpha21164 => {
-            let m = Alpha21164Config::base();
-            (
-                m.name,
-                simulate_21164(&trace, None, &m),
-                simulate_21164(&trace, Some(&outcomes), &m),
-            )
-        }
-    };
+    let base = opts.machine.simulate(&trace, None);
+    let lvp = opts.machine.simulate(&trace, Some(&outcomes));
     Ok(format!(
-        "machine {name}, config {}\nbaseline: {base}\nwith LVP: {lvp}\nspeedup: {:.3}\n",
+        "machine {}, config {}\nbaseline: {base}\nwith LVP: {lvp}\nspeedup: {:.3}\n",
+        opts.machine.name(),
         opts.config,
         lvp.speedup_over(&base)
     ))
@@ -1726,7 +1698,7 @@ mod tests {
         .unwrap();
         assert_eq!(o.profile, AsmProfile::Gp);
         assert_eq!(o.config.name, "Limit");
-        assert_eq!(o.machine, MachineSel::Alpha21164);
+        assert_eq!(o.machine.name(), "21164");
         assert_eq!(o.top, 5);
         assert_eq!(pos, vec!["xlisp"]);
     }
@@ -1855,10 +1827,10 @@ mod tests {
 
     #[test]
     fn simulate_all_machines() {
-        for machine in [
-            MachineSel::Ppc620,
-            MachineSel::Ppc620Plus,
-            MachineSel::Alpha21164,
+        for (machine, first) in [
+            (MachineModel::ppc620(), "machine 620,"),
+            (MachineModel::ppc620_plus(), "machine 620+,"),
+            (MachineModel::alpha21164(), "machine 21164,"),
         ] {
             let out = cmd_simulate(
                 "xlisp",
@@ -1868,6 +1840,7 @@ mod tests {
                 },
             )
             .unwrap();
+            assert!(out.starts_with(first), "{out}");
             assert!(out.contains("speedup:"), "{out}");
         }
     }

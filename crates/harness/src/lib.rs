@@ -12,7 +12,7 @@
 //!   annotation and timing simulation is computed exactly once per
 //!   process. Nothing is persisted across processes: regenerating a
 //!   trace is faster than reloading it from disk (DESIGN.md §6.2).
-//! * [`Report`] / [`ExperimentRow`] / [`Cell`] — structured results
+//! * [`Report`] / [`ExperimentTable`] / [`Cell`] — structured results
 //!   separated from rendering; the classic fixed-width text output is
 //!   one renderer ([`Report::render_text`]), CSV another.
 //! * [`experiments`] — the registry of all paper experiments (tables,
@@ -62,7 +62,7 @@ pub use perf::{
     Regression,
 };
 pub use plan::{ExperimentPlan, JobSpec, MachineModel, Plan};
-pub use report::{geo_mean, Cell, ExperimentRow, ExperimentTable, Report, Section, TablePrinter};
+pub use report::{geo_mean, Cell, ExperimentTable, Report, Section};
 pub use valueflow::{
     static_hints, value_flow_check, value_flow_check_with, ValueFlowCheckReport,
     ValueFlowViolation, ValueFlowViolationKind, MIN_EXECUTIONS, STRIDE_ACCURACY_FLOOR,

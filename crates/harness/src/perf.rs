@@ -465,13 +465,6 @@ fn bench_interp_stream(cfg: &PerfConfig) -> Vec<u64> {
     })
 }
 
-fn bench_fastsim_decode(cfg: &PerfConfig) -> Vec<u64> {
-    let program = trace_bench_program(lvp_isa::AsmProfile::Toc);
-    // FastSim::new is decode + machine-state setup — the whole cost a
-    // caller pays before the first retired instruction.
-    sample(cfg, || lvp_sim::FastSim::new(&program))
-}
-
 fn bench_ssa_scev(cfg: &PerfConfig) -> Vec<u64> {
     // Same shaping as alias_fixpoint: one value-flow pass (SSA build +
     // scalar evolution + classification) is sub-millisecond, so each
@@ -579,7 +572,7 @@ pub fn benches() -> &'static [BenchDef] {
         BenchDef {
             name: "trace_codec_256k",
             fast: true,
-            what: "LVPT-v2 block encode + CRC32 + batch decode, 256K entries",
+            what: "LVPT-v2 block encode + CRC32 + decode, 256K entries",
             run: |cfg| bench_trace_codec(cfg),
         },
         BenchDef {
@@ -605,12 +598,6 @@ pub fn benches() -> &'static [BenchDef] {
             fast: true,
             what: "interpreter engine: streaming xlisp run (no trace materialization)",
             run: |cfg| bench_interp_stream(cfg),
-        },
-        BenchDef {
-            name: "fastsim_decode_xlisp",
-            fast: true,
-            what: "fastsim pre-decode + state setup for xlisp (one-time cost)",
-            run: |cfg| bench_fastsim_decode(cfg),
         },
         BenchDef {
             name: "alias_fixpoint",

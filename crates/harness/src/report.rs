@@ -3,10 +3,10 @@
 //! Experiments produce a [`Report`] — sections of [`ExperimentTable`]s
 //! whose rows are typed [`Cell`]s — and renderers turn reports into
 //! output. Two renderers ship today: the fixed-width text renderer
-//! (built on [`TablePrinter`], byte-compatible with the pre-harness
-//! binaries and the committed `results/*.txt`) and a CSV renderer.
+//! (byte-compatible with the pre-harness binaries and the committed
+//! `results/*.txt`) and a CSV renderer.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// One typed cell of an experiment row.
 ///
@@ -60,26 +60,13 @@ impl fmt::Display for Cell {
     }
 }
 
-/// One row of typed cells.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ExperimentRow {
-    /// The cells, one per table column.
-    pub cells: Vec<Cell>,
-}
-
-impl From<Vec<Cell>> for ExperimentRow {
-    fn from(cells: Vec<Cell>) -> ExperimentRow {
-        ExperimentRow { cells }
-    }
-}
-
 /// A table of typed rows under fixed headers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentTable {
     /// Column headers.
     pub headers: Vec<String>,
-    /// Data rows.
-    pub rows: Vec<ExperimentRow>,
+    /// Data rows, one cell per column.
+    pub rows: Vec<Vec<Cell>>,
 }
 
 impl ExperimentTable {
@@ -98,16 +85,44 @@ impl ExperimentTable {
     /// Panics on a width mismatch — a bug in the experiment definition.
     pub fn row(&mut self, cells: Vec<Cell>) {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
-        self.rows.push(ExperimentRow { cells });
+        self.rows.push(cells);
     }
 
-    /// Renders with the fixed-width text renderer.
+    /// Renders with the fixed-width text renderer: the header, a rule of
+    /// dashes, then one line per row. Columns are two spaces apart and as
+    /// wide as their widest cell; the first is left-aligned (names), the
+    /// rest right-aligned (numbers).
     pub fn render_text(&self) -> String {
-        let mut p = TablePrinter::new(self.headers.clone());
-        for r in &self.rows {
-            p.row(r.cells.iter().map(Cell::render).collect());
+        let rows: Vec<Vec<String>> = self
+            .rows
+            .iter()
+            .map(|r| r.iter().map(Cell::render).collect())
+            .collect();
+        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
+        for row in &rows {
+            for (w, c) in widths.iter_mut().zip(row) {
+                *w = (*w).max(c.len());
+            }
         }
-        p.render()
+        let line = |out: &mut String, cells: &[String]| {
+            for (i, (cell, &w)) in cells.iter().zip(&widths).enumerate() {
+                if i == 0 {
+                    let _ = write!(out, "{cell:<w$}");
+                } else {
+                    let _ = write!(out, "  {cell:>w$}");
+                }
+            }
+            out.push('\n');
+        };
+        let mut out = String::new();
+        line(&mut out, &self.headers);
+        let total = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
+        out.push_str(&"-".repeat(total));
+        out.push('\n');
+        for row in &rows {
+            line(&mut out, row);
+        }
+        out
     }
 }
 
@@ -197,76 +212,10 @@ impl Report {
             out.push_str(&headers.join(","));
             out.push('\n');
             for r in &s.table.rows {
-                let cells: Vec<String> = r.cells.iter().map(|c| esc(&c.render())).collect();
+                let cells: Vec<String> = r.iter().map(|c| esc(&c.render())).collect();
                 out.push_str(&cells.join(","));
                 out.push('\n');
             }
-        }
-        out
-    }
-}
-
-/// Minimal fixed-width table printer — the text renderer's core.
-#[derive(Debug, Default)]
-pub struct TablePrinter {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl TablePrinter {
-    /// Creates a table with the given column headers.
-    pub fn new<S: Into<String>>(headers: Vec<S>) -> TablePrinter {
-        TablePrinter {
-            headers: headers.into_iter().map(Into::into).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends one row (must match the header count).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a width mismatch.
-    pub fn row<S: Into<String>>(&mut self, cells: Vec<S>) {
-        let cells: Vec<String> = cells.into_iter().map(Into::into).collect();
-        assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
-        self.rows.push(cells);
-    }
-
-    /// Renders the table with aligned columns.
-    pub fn render(&self) -> String {
-        let ncols = self.headers.len();
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            let mut line = String::new();
-            for i in 0..ncols {
-                if i > 0 {
-                    line.push_str("  ");
-                }
-                let cell = &cells[i];
-                // Right-align numeric-looking cells, left-align names.
-                if i == 0 {
-                    line.push_str(&format!("{:<w$}", cell, w = widths[i]));
-                } else {
-                    line.push_str(&format!("{:>w$}", cell, w = widths[i]));
-                }
-            }
-            line
-        };
-        out.push_str(&fmt_row(&self.headers, &widths));
-        out.push('\n');
-        let total: usize = widths.iter().sum::<usize>() + 2 * (ncols - 1);
-        out.push_str(&"-".repeat(total));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
         }
         out
     }
@@ -295,21 +244,14 @@ mod tests {
 
     #[test]
     fn table_renders_aligned() {
-        let mut t = TablePrinter::new(vec!["name", "value"]);
-        t.row(vec!["alpha", "1"]);
-        t.row(vec!["b", "12345"]);
-        let s = t.render();
+        let mut t = ExperimentTable::new(vec!["name", "value"]);
+        t.row(vec![Cell::text("alpha"), Cell::Count(1)]);
+        t.row(vec![Cell::text("b"), Cell::Count(12345)]);
+        let s = t.render_text();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
         assert_eq!(lines[0].len(), lines[2].len());
         assert!(lines[3].ends_with("12345"));
-    }
-
-    #[test]
-    #[should_panic(expected = "row width mismatch")]
-    fn table_rejects_ragged_rows() {
-        let mut t = TablePrinter::new(vec!["a", "b"]);
-        t.row(vec!["only-one"]);
     }
 
     #[test]
@@ -330,6 +272,17 @@ mod tests {
         let mut t = ExperimentTable::new(vec!["benchmark", "value"]);
         t.row(vec![Cell::text("quick"), Cell::Fixed(1.5, 3)]);
         r.section(Some("panel A"), t);
+        // Three columns: the first is left-aligned and the others are
+        // right-aligned, a data cell wider than its header widens its
+        // column, and `-` and empty cells pad like any other.
+        let mut t = ExperimentTable::new(vec!["benchmark", "ratio", "n"]);
+        t.row(vec![Cell::text("quick"), Cell::Dash, Cell::Count(123456)]);
+        t.row(vec![
+            Cell::text("xlisp-long"),
+            Cell::Fixed(1.5, 3),
+            Cell::Empty,
+        ]);
+        r.section(None, t);
         r.note("Trailing note.");
         let s = r.render_text();
         assert_eq!(
@@ -339,6 +292,11 @@ mod tests {
              benchmark  value\n\
              ----------------\n\
              quick      1.500\n\
+             \n\
+             benchmark   ratio       n\n\
+             -------------------------\n\
+             quick           -  123456\n\
+             xlisp-long  1.500        \n\
              \n\
              Trailing note.\n"
         );

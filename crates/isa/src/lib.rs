@@ -5,8 +5,7 @@
 //! Locality and Load Value Prediction" (ASPLOS 1996)*. It provides:
 //!
 //! * register names ([`Reg`], [`FReg`]) and the decoded instruction type
-//!   ([`Instr`]) with functional-unit classification ([`FuClass`]),
-//! * a packed binary [`encode`]/[`decode`] pair,
+//!   ([`Instr`]),
 //! * a two-pass [`Assembler`] with PowerPC-style ([`AsmProfile::Toc`]) and
 //!   Alpha-style ([`AsmProfile::Gp`]) pseudo-instruction expansion, and
 //! * the [`Program`] image and memory [`Layout`] consumed by the functional
@@ -38,13 +37,11 @@
 
 pub mod abi;
 mod asm;
-mod encode;
 mod op;
 mod program;
 mod reg;
 
 pub use asm::{AsmError, AsmProfile, Assembler};
-pub use encode::{decode, encode, DecodeError};
-pub use op::{CtrlFlow, FuClass, Instr, MemWidth, RegId, INSTR_BYTES};
+pub use op::{CtrlFlow, Instr, MemWidth, RegId, INSTR_BYTES};
 pub use program::{Layout, Program, Segment, DATA_BASE, MEM_SIZE, STACK_TOP, TEXT_BASE};
 pub use reg::{FReg, ParseRegError, Reg, FP_ABI_NAMES, INT_ABI_NAMES};

@@ -171,41 +171,6 @@ pub enum Instr {
     Nop,
 }
 
-/// Functional-unit class of an instruction, mirroring the paper's Table 5
-/// rows and the PowerPC 620 functional units used in Figure 8.
-#[derive(Debug, Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum FuClass {
-    /// Single-cycle fixed point (SCFX): simple integer ALU ops.
-    IntSimple,
-    /// Multi-cycle fixed point (MCFX): multiply/divide/remainder.
-    IntComplex,
-    /// Load/store unit (LSU).
-    LoadStore,
-    /// Simple floating point (add/sub/mul/convert/compare).
-    FpSimple,
-    /// Complex floating point (divide/sqrt).
-    FpComplex,
-    /// Branch unit (BRU): branches and jumps.
-    Branch,
-    /// System operations (`out`, `halt`, `nop`).
-    System,
-}
-
-impl fmt::Display for FuClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            FuClass::IntSimple => "SCFX",
-            FuClass::IntComplex => "MCFX",
-            FuClass::LoadStore => "LSU",
-            FuClass::FpSimple => "FPU",
-            FuClass::FpComplex => "FPU*",
-            FuClass::Branch => "BRU",
-            FuClass::System => "SYS",
-        };
-        f.write_str(s)
-    }
-}
-
 /// Memory access width in bytes.
 #[derive(Debug, Copy, Clone, PartialEq, Eq, Hash)]
 pub enum MemWidth {
@@ -299,73 +264,6 @@ pub enum CtrlFlow {
 }
 
 impl Instr {
-    /// The functional-unit class this instruction executes on.
-    pub fn fu_class(&self) -> FuClass {
-        use Instr::*;
-        match self {
-            Add { .. }
-            | Sub { .. }
-            | Sll { .. }
-            | Slt { .. }
-            | Sltu { .. }
-            | Xor { .. }
-            | Srl { .. }
-            | Sra { .. }
-            | Or { .. }
-            | And { .. }
-            | Addi { .. }
-            | Slti { .. }
-            | Sltiu { .. }
-            | Xori { .. }
-            | Ori { .. }
-            | Andi { .. }
-            | Slli { .. }
-            | Srli { .. }
-            | Srai { .. }
-            | Lui { .. } => FuClass::IntSimple,
-            Mul { .. } | Mulh { .. } | Div { .. } | Divu { .. } | Rem { .. } | Remu { .. } => {
-                FuClass::IntComplex
-            }
-            Lb { .. }
-            | Lbu { .. }
-            | Lh { .. }
-            | Lhu { .. }
-            | Lw { .. }
-            | Lwu { .. }
-            | Ld { .. }
-            | Fld { .. }
-            | Sb { .. }
-            | Sh { .. }
-            | Sw { .. }
-            | Sd { .. }
-            | Fsd { .. } => FuClass::LoadStore,
-            FaddD { .. }
-            | FsubD { .. }
-            | FmulD { .. }
-            | FminD { .. }
-            | FmaxD { .. }
-            | FnegD { .. }
-            | FabsD { .. }
-            | FeqD { .. }
-            | FltD { .. }
-            | FleD { .. }
-            | FcvtDL { .. }
-            | FcvtLD { .. }
-            | FmvXD { .. }
-            | FmvDX { .. } => FuClass::FpSimple,
-            FdivD { .. } | FsqrtD { .. } => FuClass::FpComplex,
-            Beq { .. }
-            | Bne { .. }
-            | Blt { .. }
-            | Bge { .. }
-            | Bltu { .. }
-            | Bgeu { .. }
-            | Jal { .. }
-            | Jalr { .. } => FuClass::Branch,
-            Out { .. } | OutF { .. } | Halt | Nop => FuClass::System,
-        }
-    }
-
     /// Whether this is a load (integer or FP).
     pub fn is_load(&self) -> bool {
         use Instr::*;
@@ -389,25 +287,6 @@ impl Instr {
             self,
             Sb { .. } | Sh { .. } | Sw { .. } | Sd { .. } | Fsd { .. }
         )
-    }
-
-    /// Whether this load/store targets the FP register file.
-    pub fn is_fp_mem(&self) -> bool {
-        matches!(self, Instr::Fld { .. } | Instr::Fsd { .. })
-    }
-
-    /// Whether this is a conditional branch.
-    pub fn is_cond_branch(&self) -> bool {
-        use Instr::*;
-        matches!(
-            self,
-            Beq { .. } | Bne { .. } | Blt { .. } | Bge { .. } | Bltu { .. } | Bgeu { .. }
-        )
-    }
-
-    /// Whether this is an unconditional jump (`jal`/`jalr`).
-    pub fn is_jump(&self) -> bool {
-        matches!(self, Instr::Jal { .. } | Instr::Jalr { .. })
     }
 
     /// Memory access width for loads and stores; `None` otherwise.
@@ -777,59 +656,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classification() {
-        let r = Reg::T0;
-        assert_eq!(
-            Instr::Add {
-                rd: r,
-                rs1: r,
-                rs2: r
-            }
-            .fu_class(),
-            FuClass::IntSimple
-        );
-        assert_eq!(
-            Instr::Mul {
-                rd: r,
-                rs1: r,
-                rs2: r
-            }
-            .fu_class(),
-            FuClass::IntComplex
-        );
-        assert_eq!(
-            Instr::Ld {
-                rd: r,
-                base: r,
-                offset: 0
-            }
-            .fu_class(),
-            FuClass::LoadStore
-        );
-        let fr = FReg::FT0;
-        assert_eq!(
-            Instr::FaddD {
-                fd: fr,
-                fs1: fr,
-                fs2: fr
-            }
-            .fu_class(),
-            FuClass::FpSimple
-        );
-        assert_eq!(
-            Instr::FdivD {
-                fd: fr,
-                fs1: fr,
-                fs2: fr
-            }
-            .fu_class(),
-            FuClass::FpComplex
-        );
-        assert_eq!(Instr::Jal { rd: r, offset: 8 }.fu_class(), FuClass::Branch);
-        assert_eq!(Instr::Halt.fu_class(), FuClass::System);
-    }
-
-    #[test]
     fn load_store_predicates() {
         let r = Reg::T0;
         let ld = Instr::Ld {
@@ -851,7 +677,7 @@ mod tests {
             base: r,
             offset: 0,
         };
-        assert!(fld.is_load() && fld.is_fp_mem());
+        assert!(fld.is_load() && !fld.is_store());
         let add = Instr::Add {
             rd: r,
             rs1: r,
@@ -880,22 +706,6 @@ mod tests {
             offset: 16,
         };
         assert_eq!(l.to_string(), "lw a0, 16(sp)");
-    }
-
-    #[test]
-    fn branch_predicates() {
-        let b = Instr::Bne {
-            rs1: Reg::T0,
-            rs2: Reg::T1,
-            offset: 4,
-        };
-        assert!(b.is_cond_branch() && !b.is_jump());
-        let j = Instr::Jalr {
-            rd: Reg::ZERO,
-            rs1: Reg::RA,
-            offset: 0,
-        };
-        assert!(j.is_jump() && !j.is_cond_branch());
     }
 
     fn uses_of(i: Instr) -> Vec<RegId> {

@@ -1,16 +1,16 @@
-//! Seeded randomized tests for the instruction encoding and the
-//! disassembler: encode/decode round-trips, decoding arbitrary words,
-//! and disassemble → reassemble fidelity through the assembler.
+//! Seeded randomized test for the disassembler: every instruction's
+//! textual form reassembles to the same instruction through the
+//! assembler.
 //!
 //! Inputs come from the workspace's canonical [`Lcg`] with a fixed seed
 //! and case count, so every run checks the same cases.
 
-use lvp_isa::{decode, encode, AsmProfile, Assembler, FReg, Instr, Reg};
+use lvp_isa::{AsmProfile, Assembler, FReg, Instr, Reg};
 use lvp_trace::rng::Lcg;
 
 const SEED: u64 = 0x15a_e9c0_de00_1996;
-/// Random instructions, words or programs per property.
-const CASES: u64 = 4096;
+/// Random programs to disassemble and reassemble.
+const CASES: u64 = 256;
 
 /// A random instruction from a mix of every operand shape: register,
 /// immediate, shift, memory, floating-point, branch and system forms.
@@ -64,46 +64,9 @@ fn random_instr(r: &mut Lcg) -> Instr {
 }
 
 #[test]
-fn encode_decode_round_trip() {
-    let mut rng = Lcg::new(SEED);
-    for _ in 0..CASES {
-        let instr = random_instr(&mut rng);
-        let word = encode(&instr);
-        let back = decode(word).unwrap_or_else(|e| panic!("{instr}: {word:#x} fails: {e}"));
-        assert_eq!(back, instr, "word {word:#x}");
-    }
-}
-
-/// Decoding never panics on an arbitrary word, and whenever a word
-/// decodes, re-encoding the instruction decodes to it again.
-#[test]
-fn decode_arbitrary_words_is_total_and_stable() {
-    let mut rng = Lcg::new(SEED ^ 0xdec0de);
-    let mut decoded = 0;
-    for i in 0..CASES * 4 {
-        // Every other word gets an opcode byte near the defined ones and
-        // register-sized operand bytes, so a useful share of them decodes
-        // instead of failing on the first field.
-        let mut word = rng.next_full();
-        if i % 2 == 0 {
-            word = (word & !0xffff_ffff)
-                | rng.below(0x54)
-                | rng.below(32) << 8
-                | rng.below(32) << 16
-                | rng.below(64) << 24;
-        }
-        if let Ok(instr) = decode(word) {
-            decoded += 1;
-            assert_eq!(decode(encode(&instr)), Ok(instr), "word {word:#x}");
-        }
-    }
-    assert!(decoded > CASES / 8, "only {decoded} words decoded");
-}
-
-#[test]
 fn disassembly_reassembles() {
     let mut rng = Lcg::new(SEED ^ 0xa55e);
-    for case in 0..CASES / 16 {
+    for case in 0..CASES {
         let instrs: Vec<Instr> = (0..1 + rng.below(40))
             .map(|_| random_instr(&mut rng))
             .collect();

@@ -335,15 +335,10 @@ pub fn write_trace<W: Write>(mut writer: W, trace: &Trace) -> Result<(), TraceIo
 /// magic, unsupported version, truncation, checksum mismatch, or invalid
 /// record fields. Never panics on malformed input.
 pub fn read_trace<R: Read>(reader: R) -> Result<Trace, TraceIoError> {
-    let mut reader = TraceReader::new(reader)?;
+    let reader = TraceReader::new(reader)?;
     let mut trace = Trace::with_capacity(reader.declared_entries().min(1 << 24) as usize);
-    // Batch-decode a block at a time instead of paying the iterator
-    // protocol per record.
-    let mut block = Vec::new();
-    while reader.next_entries(&mut block)? > 0 {
-        for &entry in &block {
-            trace.push(entry);
-        }
+    for entry in reader {
+        trace.push(entry?);
     }
     Ok(trace)
 }

@@ -13,7 +13,6 @@
 //!   simulation ("no prediction, incorrect prediction, correct prediction,
 //!   or constant load" — two bits of state per load, exactly as the paper
 //!   passes to its timing models);
-//! * [`AnnotatedTrace`] — a trace plus its per-load annotations;
 //! * a compact binary serialization ([`write_trace`]/[`read_trace`]) for
 //!   storing traces on disk — **LVPT v2**, a block format with per-block
 //!   CRC-32 checksums and a declared payload length, plus [`TraceReader`],
@@ -218,46 +217,6 @@ impl<'a> IntoIterator for &'a Trace {
     }
 }
 
-/// A trace paired with the per-load prediction outcomes produced by an LVP
-/// unit simulation. `outcomes[i]` annotates the `i`-th dynamic load of the
-/// trace.
-#[derive(Debug, Clone)]
-pub struct AnnotatedTrace<'a> {
-    trace: &'a Trace,
-    outcomes: Vec<PredOutcome>,
-}
-
-impl<'a> AnnotatedTrace<'a> {
-    /// Pairs a trace with its per-load outcomes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `outcomes.len()` does not equal the trace's load count.
-    pub fn new(trace: &'a Trace, outcomes: Vec<PredOutcome>) -> AnnotatedTrace<'a> {
-        assert_eq!(
-            outcomes.len() as u64,
-            trace.stats().loads,
-            "annotation count must match the trace's dynamic load count"
-        );
-        AnnotatedTrace { trace, outcomes }
-    }
-
-    /// The underlying trace.
-    pub fn trace(&self) -> &Trace {
-        self.trace
-    }
-
-    /// Outcome of the `i`-th dynamic load.
-    pub fn outcome(&self, load_index: usize) -> PredOutcome {
-        self.outcomes[load_index]
-    }
-
-    /// All per-load outcomes in dynamic order.
-    pub fn outcomes(&self) -> &[PredOutcome] {
-        &self.outcomes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,21 +246,6 @@ mod tests {
         assert_eq!(s.stores, 1);
         assert_eq!(s.cond_branches, 1);
         assert_eq!(s.fp_ops, 1);
-    }
-
-    #[test]
-    fn annotated_trace_checks_length() {
-        let mut t = Trace::new();
-        t.push(load_entry(0x10000));
-        let a = AnnotatedTrace::new(&t, vec![PredOutcome::Correct]);
-        assert_eq!(a.outcome(0), PredOutcome::Correct);
-    }
-
-    #[test]
-    #[should_panic(expected = "annotation count")]
-    fn annotated_trace_rejects_mismatch() {
-        let t = Trace::new();
-        let _ = AnnotatedTrace::new(&t, vec![PredOutcome::Correct]);
     }
 
     #[test]

@@ -205,51 +205,6 @@ impl<R: Read> TraceReader<R> {
         self.yielded += 1;
         Ok(Some(entry))
     }
-
-    /// Decodes the next block of records into `out` (cleared first) and
-    /// returns how many were appended; `Ok(0)` means the stream is
-    /// cleanly exhausted.
-    ///
-    /// This is the batch hot path under [`read_trace`](crate::read_trace):
-    /// one call per block lets consumers process `&[TraceEntry]` slices while
-    /// reusing a single buffer, instead of paying the iterator protocol
-    /// per record. Error semantics are identical to iterating: the same
-    /// [`TraceIoError`]s surface at the same records, and the reader
-    /// fuses after the first error.
-    ///
-    /// # Errors
-    ///
-    /// Any [`TraceIoError`] the per-record iterator would produce within
-    /// the block. Records decoded before the error are left in `out`.
-    pub fn next_entries(&mut self, out: &mut Vec<TraceEntry>) -> Result<usize, TraceIoError> {
-        out.clear();
-        if self.done {
-            return Ok(0);
-        }
-        // The rest of the current block, or up to a full block's worth.
-        let batch = if self.block_entries_left == 0 {
-            BLOCK_ENTRIES
-        } else {
-            self.block_entries_left as usize
-        };
-        if out.capacity() < batch {
-            out.reserve_exact(batch - out.capacity());
-        }
-        while out.len() < batch {
-            match self.next_entry() {
-                Ok(Some(entry)) => out.push(entry),
-                Ok(None) => {
-                    self.done = true;
-                    break;
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Err(e);
-                }
-            }
-        }
-        Ok(out.len())
-    }
 }
 
 impl<R: Read> Iterator for TraceReader<R> {
@@ -358,49 +313,6 @@ mod tests {
         assert!(
             matches!(err, TraceIoError::BadCount { declared, .. } if declared == u64::MAX),
             "{err:?}"
-        );
-    }
-
-    #[test]
-    fn next_entries_matches_per_record_iteration() {
-        let n = 2 * BLOCK_ENTRIES as u64 + 17;
-        let t = big_trace(n);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
-        let iterated: Vec<TraceEntry> = TraceReader::new(buf.as_slice())
-            .unwrap()
-            .map(|e| e.unwrap())
-            .collect();
-        let mut reader = TraceReader::new(buf.as_slice()).unwrap();
-        let mut batched = Vec::new();
-        let mut block = Vec::new();
-        let mut calls = 0;
-        while reader.next_entries(&mut block).unwrap() > 0 {
-            batched.extend_from_slice(&block);
-            calls += 1;
-        }
-        assert_eq!(batched, iterated);
-        assert_eq!(calls, 3, "one call per block");
-        assert_eq!(reader.entries_read(), n);
-    }
-
-    #[test]
-    fn next_entries_surfaces_errors_and_fuses() {
-        let t = big_trace(8);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
-        let last = buf.len() - 1;
-        buf[last] ^= 1;
-        let mut reader = TraceReader::new(buf.as_slice()).unwrap();
-        let mut block = Vec::new();
-        assert!(matches!(
-            reader.next_entries(&mut block),
-            Err(TraceIoError::ChecksumMismatch { block: 0 })
-        ));
-        assert_eq!(
-            reader.next_entries(&mut block).unwrap(),
-            0,
-            "reader must fuse after an error"
         );
     }
 

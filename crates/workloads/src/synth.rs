@@ -561,8 +561,9 @@ fn gen_mix(r: &mut Lcg, scale: SynthScale) -> String {
 
 /// The pinned synthesized benchmark-suite members: one per adversarial
 /// profile, benchmark scale, seed 1. First call compiles and runs each
-/// program once (fast engine, Toc) to record its golden output; results
-/// are memoized for the process lifetime.
+/// program once (the interpreter, [`lvp_sim::Machine`], Toc) to record
+/// its golden output, against which [`Workload::run_at`] checks every
+/// fastsim run; results are memoized for the process lifetime.
 pub fn synth_suite() -> &'static [Workload] {
     static SUITE: OnceLock<Vec<Workload>> = OnceLock::new();
     SUITE.get_or_init(|| {

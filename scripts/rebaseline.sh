@@ -3,8 +3,11 @@
 #
 #   results/perf_baseline.json  — `lvp perf --json` over the full
 #                                 microbenchmark registry; the document
-#                                 `lvp perf --check` (and ci.sh) diffs
-#                                 medians against.
+#                                 `lvp perf --check` diffs medians
+#                                 against. ci.sh's gate
+#                                 (scripts/perf_gate.sh) compares
+#                                 against the base commit's build on the
+#                                 same host instead.
 #   BENCH_2.json                — end-to-end wall-clock for
 #                                 `lvp bench --all --fast --threads 2`
 #                                 (3 runs, median) with the median run's
@@ -12,14 +15,15 @@
 #                                 time, cross-check, value-flow,
 #                                 characterize, total work) and its peak
 #                                 RSS from the `memory:` line (null where
-#                                 /proc is unavailable).
+#                                 /proc is unavailable), and the host
+#                                 (CPU model, CPU count, OS and arch).
 #
 # BENCH_0.json (interpreter era) and BENCH_1.json (fastsim engine) are
 # frozen earlier records and are never rewritten.
 #
-# Run this on the machine that executes CI, after an *intentional*
-# performance change, and commit both files. Timing baselines are only
-# meaningful against the machine and toolchain that produced them.
+# Run this after an *intentional* performance change and commit both
+# files. They are records: timings are only meaningful against the
+# machine and toolchain that produced them.
 #
 # With --lints, regenerates results/lints_baseline.json instead: the
 # full `lvp check --all --memory --value-flow --format json` document,
@@ -92,8 +96,16 @@ lvp=target/release/lvp
 
 echo "==> lvp perf --json (full registry) > results/perf_baseline.json"
 "$lvp" perf --json > results/perf_baseline.json
-"$lvp" perf --check --baseline results/perf_baseline.json --threshold 60 \
-    > /dev/null
+# The fresh document must load as a `--check` baseline: exit 2 means it
+# does not parse. Exit 1 (a bench over the threshold seconds after the
+# recording) is host noise, not a broken record.
+status=0
+"$lvp" perf --check --baseline results/perf_baseline.json --bench sim_21164_256k \
+    > /dev/null 2>&1 || status=$?
+if [ "$status" -gt 1 ]; then
+    echo "rebaseline: results/perf_baseline.json does not load as a baseline" >&2
+    exit "$status"
+fi
 echo "    wrote results/perf_baseline.json"
 
 echo "==> lvp bench --all --fast --threads 2, 3 runs"
@@ -127,6 +139,8 @@ peak_rss=${peak_rss:-null}
 set -- "$(stage 'compile+trace')" "$(stage predict)" "$(stage time)" \
     "$(stage cross-check)" "$(stage value-flow)" "$(stage characterize)"
 rm -f target/rebaseline_stages_*.txt
+cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n 1)
+host="${cpu:-unknown CPU}, $(nproc) CPUs, $(uname -sm)"
 {
     echo '{'
     echo '    "format": "lvp-bench-baseline/2",'
@@ -142,7 +156,8 @@ rm -f target/rebaseline_stages_*.txt
     printf '        "characterize": %s,\n' "$6"
     printf '        "work": %s\n' "$work"
     echo '    },'
-    printf '    "peak_rss_mb": %s\n' "$peak_rss"
+    printf '    "peak_rss_mb": %s,\n' "$peak_rss"
+    printf '    "host": "%s"\n' "$host"
     echo '}'
 } > BENCH_2.json
 echo "    wrote BENCH_2.json (median ${median}s; stages $1/$2/$3/$4/$5/$6s of ${work}s work; peak RSS ${peak_rss} MB)"
