@@ -43,7 +43,13 @@ impl Default for Engine {
 impl Engine {
     /// Engine over the full 17-workload suite with one worker per
     /// available CPU.
+    ///
+    /// On Linux with glibc, the first engine of a process also pins the
+    /// allocator's mmap threshold at 1 MiB, so that a freed large block
+    /// goes back to the system at once and a run's peak memory does not
+    /// depend on which worker freed what first.
     pub fn new() -> Engine {
+        pin_mmap_threshold();
         Engine {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -514,3 +520,36 @@ impl Ctx<'_> {
         self.timing(&job.workload, job.profile, job.opt, config, job.machine()?)
     }
 }
+
+/// Gives every heap block of 1 MiB or more a mapping of its own, which
+/// `free` unmaps, for the rest of the process.
+///
+/// By default glibc raises its mmap threshold to the size of each such
+/// block freed (up to 32 MiB); blocks below it then come from the
+/// per-thread arenas, which keep them resident after they are freed. How
+/// much stays resident depends on the order in which the workers
+/// allocate and free, so identical runs of `lvp bench --all --fast
+/// --threads 2` peaked anywhere between 247 and 257 MB over five runs on
+/// a 2-CPU Xeon host. Pinned, all five peaked at 199 MB, and run times
+/// did not move beyond their run-to-run spread (DESIGN.md §6.3).
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn pin_mmap_threshold() {
+    use std::os::raw::c_int;
+    use std::sync::Once;
+    extern "C" {
+        fn mallopt(param: c_int, value: c_int) -> c_int;
+    }
+    /// glibc's `M_MMAP_THRESHOLD` (`<malloc.h>`).
+    const M_MMAP_THRESHOLD: c_int = -3;
+    static PIN: Once = Once::new();
+    PIN.call_once(|| {
+        // SAFETY: `mallopt` only sets one of the allocator's tunables,
+        // under the allocator's own lock.
+        unsafe {
+            mallopt(M_MMAP_THRESHOLD, 1 << 20);
+        }
+    });
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn pin_mmap_threshold() {}

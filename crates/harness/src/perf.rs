@@ -410,6 +410,20 @@ fn bench_sim_620_real(cfg: &PerfConfig, config: Ppc620Config) -> Vec<u64> {
     sample(cfg, || simulate_620(&trace, Some(&outcomes), &config))
 }
 
+/// `simulate_620` (base config) over the registered `synth-chase` trace
+/// (Toc, O0) with Simple-preset outcomes: the MSHR-bound pointer chase
+/// that the `timing-adversarial` benchmark times.
+fn bench_sim_620_synth_chase(cfg: &PerfConfig) -> Vec<u64> {
+    let w = lvp_workloads::Workload::by_name("synth-chase").expect("registered synth workload");
+    let trace = w
+        .run(lvp_isa::AsmProfile::Toc)
+        .expect("synth workload completes")
+        .trace;
+    let outcomes = LvpUnit::new(presets::simple()).annotate(&trace);
+    let config = Ppc620Config::base();
+    sample(cfg, || simulate_620(&trace, Some(&outcomes), &config))
+}
+
 /// `simulate_21164` over the real xlisp trace with Simple-preset
 /// outcomes, on the Gp profile the experiments time the 21164 with.
 fn bench_sim_21164_real(cfg: &PerfConfig) -> Vec<u64> {
@@ -550,6 +564,12 @@ pub fn benches() -> &'static [BenchDef] {
             fast: true,
             what: "simulate_620 (620+ config) over the real xlisp trace, Simple outcomes",
             run: |cfg| bench_sim_620_real(cfg, Ppc620Config::plus()),
+        },
+        BenchDef {
+            name: "sim_620_synth_chase",
+            fast: true,
+            what: "simulate_620 (base config) over the synth-chase trace, Simple outcomes",
+            run: |cfg| bench_sim_620_synth_chase(cfg),
         },
         BenchDef {
             name: "sim_21164_256k",

@@ -57,13 +57,22 @@ impl CacheConfig {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// `sets[set]` is a most-recently-used-first list of tags.
-    sets: Vec<Vec<u64>>,
+    /// `sets × ways` tags: each set's `ways` entries are most recently
+    /// used first, padded at the end with [`EMPTY_WAY`].
+    tags: Vec<u64>,
     set_shift: u32,
     set_mask: u64,
+    /// Width of the set index (`set_mask.count_ones()`), stored so an
+    /// access needs no popcount.
+    set_bits: u32,
     hits: u64,
     misses: u64,
 }
+
+/// The tag of an unfilled way. A real tag is an address shifted right
+/// by at least one bit (line offset plus set index), so it never reaches
+/// `u64::MAX`.
+const EMPTY_WAY: u64 = u64::MAX;
 
 impl Cache {
     /// Creates an empty cache.
@@ -71,7 +80,8 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (size not divisible by
-    /// line × ways, or non-power-of-two line/set count).
+    /// line × ways, or non-power-of-two line/set count), or if it maps
+    /// every byte to its own tag (one set of one-byte lines).
     pub fn new(config: CacheConfig) -> Cache {
         assert!(
             config.line.is_power_of_two(),
@@ -82,11 +92,16 @@ impl Cache {
             n_sets > 0 && n_sets.is_power_of_two(),
             "set count must be a power of two"
         );
+        assert!(
+            config.line * n_sets > 1,
+            "a cache of one set needs lines of at least two bytes"
+        );
         Cache {
             config,
-            sets: vec![Vec::with_capacity(config.ways); n_sets],
+            tags: vec![EMPTY_WAY; n_sets * config.ways],
             set_shift: config.line.trailing_zeros(),
             set_mask: (n_sets - 1) as u64,
+            set_bits: n_sets.trailing_zeros(),
             hits: 0,
             misses: 0,
         }
@@ -107,30 +122,27 @@ impl Cache {
         self.misses
     }
 
+    /// The tags of `addr`'s set, and `addr`'s tag.
     #[inline]
-    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
+    fn set_and_tag(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
         let line_addr = addr >> self.set_shift;
-        (
-            (line_addr & self.set_mask) as usize,
-            line_addr >> self.set_mask.count_ones(),
-        )
+        let first = (line_addr & self.set_mask) as usize * self.config.ways;
+        (first..first + self.config.ways, line_addr >> self.set_bits)
     }
 
     /// Performs one access; returns `true` on hit. Misses allocate the
     /// line, evicting LRU.
     pub fn access(&mut self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        let ways = self.config.ways;
-        let set = &mut self.sets[set];
+        let set = &mut self.tags[set];
         if let Some(pos) = set.iter().position(|&t| t == tag) {
             set[..=pos].rotate_right(1);
             self.hits += 1;
             true
         } else {
-            if set.len() == ways {
-                set.pop();
-            }
-            set.insert(0, tag);
+            // The last way is the LRU line or an unfilled way.
+            set.rotate_right(1);
+            set[0] = tag;
             self.misses += 1;
             false
         }
@@ -140,7 +152,7 @@ impl Cache {
     /// lookahead decisions such as the 21164's no-predict-on-miss rule).
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        self.sets[set].contains(&tag)
+        self.tags[set].contains(&tag)
     }
 }
 
@@ -316,6 +328,47 @@ mod tests {
         assert!(c.access(0x1008));
         assert!(c.access(0x103f));
         assert!(!c.access(0x1040), "next line must miss");
+    }
+
+    /// The flat tag array behaves like a most-recently-used-first list
+    /// per set, on direct-mapped, 3-way and 8-way geometries.
+    #[test]
+    fn matches_per_set_lru_lists() {
+        for config in [
+            CacheConfig::alpha_l1d(),
+            CacheConfig::alpha_l2(),
+            CacheConfig::ppc620_l1d(),
+        ] {
+            let mut cache = Cache::new(config);
+            let n_sets = (config.size / (config.line * config.ways)) as u64;
+            let mut lists = vec![Vec::new(); n_sets as usize];
+            let mut x = 0x2545_f491_4f6c_dd1du64;
+            for _ in 0..20_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let addr = x % (4 * config.size as u64);
+                let line = addr / config.line as u64;
+                let (set, tag) = ((line % n_sets) as usize, line / n_sets);
+                let list: &mut Vec<u64> = &mut lists[set];
+                let hit = list.contains(&tag);
+                assert_eq!(cache.probe(addr), hit);
+                assert_eq!(cache.access(addr), hit);
+                list.retain(|&t| t != tag);
+                list.insert(0, tag);
+                list.truncate(config.ways);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lines of at least two bytes")]
+    fn one_set_of_one_byte_lines_is_rejected() {
+        Cache::new(CacheConfig {
+            size: 4,
+            ways: 4,
+            line: 1,
+        });
     }
 
     #[test]

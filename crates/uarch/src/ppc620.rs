@@ -21,9 +21,10 @@
 //! store-to-load alias refetch. Outstanding misses are bounded by the
 //! configured MSHR count (the 620's non-blocking cache).
 //!
-//! The scheduler is event-driven: the work per simulated cycle follows
-//! that cycle's issues, wakeups, releases, squashes and retirements, not
-//! the window size (DESIGN.md §8.1).
+//! The scheduler is event-driven and keeps its window state as bitsets
+//! over ring slots: the work per simulated cycle follows that cycle's
+//! issues, wakeups, releases, squashes and retirements, not the window
+//! size (DESIGN.md §8.1).
 
 use crate::branch::BranchPredictor;
 use crate::cache::{BankArbiter, CacheConfig, MemHierarchy, MemLatency};
@@ -31,32 +32,20 @@ use crate::latency::LatencyTable;
 use crate::metrics::SimResult;
 use lvp_trace::{OpKind, PredOutcome, Trace};
 
-/// Functional-unit classes of the 620 (Figure 4).
+/// Functional-unit classes of the 620 (Figure 4). The discriminant is
+/// the class's dense index.
 #[derive(Debug, Copy, Clone, PartialEq, Eq)]
 enum Fu {
     /// Single-cycle fixed point (2 units).
-    Scfx,
+    Scfx = 0,
     /// Multi-cycle fixed point (1 unit, unpipelined).
-    Mcfx,
+    Mcfx = 1,
     /// Floating point (1 unit; complex ops unpipelined).
-    Fpu,
+    Fpu = 2,
     /// Load/store (1 unit on the 620, 2 on the 620+).
-    Lsu,
+    Lsu = 3,
     /// Branch unit.
-    Bru,
-}
-
-const FU_KINDS: [Fu; 5] = [Fu::Scfx, Fu::Mcfx, Fu::Fpu, Fu::Lsu, Fu::Bru];
-
-/// Dense index of a functional-unit class in [`FU_KINDS`] order.
-const fn fu_ix(fu: Fu) -> usize {
-    match fu {
-        Fu::Scfx => 0,
-        Fu::Mcfx => 1,
-        Fu::Fpu => 2,
-        Fu::Lsu => 3,
-        Fu::Bru => 4,
-    }
+    Bru = 4,
 }
 
 fn fu_of(kind: OpKind) -> Fu {
@@ -149,48 +138,262 @@ impl Ppc620Config {
     }
 }
 
-/// One completion-buffer entry. An op is *waiting* until it issues and
-/// *finished* once it has issued and `finish_cycle <= cycle`; finishing is
-/// derived on demand, never stored.
+/// A set of ring slots, one bit per slot. Every window set and every
+/// dependency row is one. `u64` covers a 64-slot ring; [`WideSet`] any
+/// larger power of two.
+trait SlotSet: Clone {
+    /// Iterator over the members in window order.
+    type Walk: Iterator<Item = usize>;
+    /// The empty set over a ring of `slots` slots.
+    fn empty(slots: usize) -> Self;
+    fn insert(&mut self, slot: usize);
+    fn remove(&mut self, slot: usize);
+    fn contains(&self, slot: usize) -> bool;
+    fn is_empty(&self) -> bool;
+    fn clear(&mut self);
+    fn union_with(&mut self, other: &Self);
+    fn intersect_with(&mut self, other: &Self);
+    fn subtract(&mut self, other: &Self);
+    /// The members in window order, the window starting at ring slot
+    /// `head`: rotate by `head`, then step by trailing zeros. The walk
+    /// owns a copy, so the set may change under it.
+    fn walk(&self, head: usize) -> Self::Walk;
+}
+
+impl SlotSet for u64 {
+    type Walk = Walk64;
+
+    fn empty(slots: usize) -> u64 {
+        debug_assert_eq!(slots, 64);
+        0
+    }
+
+    #[inline]
+    fn insert(&mut self, slot: usize) {
+        *self |= 1 << slot;
+    }
+
+    #[inline]
+    fn remove(&mut self, slot: usize) {
+        *self &= !(1 << slot);
+    }
+
+    #[inline]
+    fn contains(&self, slot: usize) -> bool {
+        *self & (1 << slot) != 0
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        *self == 0
+    }
+
+    #[inline]
+    fn clear(&mut self) {
+        *self = 0;
+    }
+
+    #[inline]
+    fn union_with(&mut self, other: &u64) {
+        *self |= other;
+    }
+
+    #[inline]
+    fn intersect_with(&mut self, other: &u64) {
+        *self &= other;
+    }
+
+    #[inline]
+    fn subtract(&mut self, other: &u64) {
+        *self &= !other;
+    }
+
+    #[inline]
+    fn walk(&self, head: usize) -> Walk64 {
+        Walk64 {
+            rest: self.rotate_right(head as u32),
+            head,
+        }
+    }
+}
+
+/// [`SlotSet::walk`] over one word.
+struct Walk64 {
+    /// The members not yet visited, rotated so `head` is bit 0.
+    rest: u64,
+    head: usize,
+}
+
+impl Iterator for Walk64 {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.rest == 0 {
+            return None;
+        }
+        let k = self.rest.trailing_zeros() as usize;
+        self.rest &= self.rest - 1;
+        Some((k + self.head) & 63)
+    }
+}
+
+/// A [`SlotSet`] over a ring of any power-of-two size of at least 64
+/// slots, for completion buffers wider than one word.
+#[derive(Clone)]
+struct WideSet(Box<[u64]>);
+
+impl SlotSet for WideSet {
+    type Walk = WideWalk;
+
+    fn empty(slots: usize) -> WideSet {
+        debug_assert!(slots.is_power_of_two() && slots >= 64);
+        WideSet(vec![0; slots / 64].into_boxed_slice())
+    }
+
+    fn insert(&mut self, slot: usize) {
+        self.0[slot / 64] |= 1 << (slot % 64);
+    }
+
+    fn remove(&mut self, slot: usize) {
+        self.0[slot / 64] &= !(1 << (slot % 64));
+    }
+
+    fn contains(&self, slot: usize) -> bool {
+        self.0[slot / 64] & (1 << (slot % 64)) != 0
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.iter().all(|&w| w == 0)
+    }
+
+    fn clear(&mut self) {
+        self.0.fill(0);
+    }
+
+    fn union_with(&mut self, other: &WideSet) {
+        self.0.iter_mut().zip(&*other.0).for_each(|(a, b)| *a |= b);
+    }
+
+    fn intersect_with(&mut self, other: &WideSet) {
+        self.0.iter_mut().zip(&*other.0).for_each(|(a, b)| *a &= b);
+    }
+
+    fn subtract(&mut self, other: &WideSet) {
+        self.0.iter_mut().zip(&*other.0).for_each(|(a, b)| *a &= !b);
+    }
+
+    fn walk(&self, head: usize) -> WideWalk {
+        // Rotated word j holds the bits at slots 64j + head onwards.
+        let n = self.0.len();
+        let (skip, shift) = (head / 64, head % 64);
+        let words = (0..n)
+            .map(|j| {
+                let lo = self.0[(j + skip) % n];
+                if shift == 0 {
+                    lo
+                } else {
+                    (lo >> shift) | (self.0[(j + skip + 1) % n] << (64 - shift))
+                }
+            })
+            .collect();
+        WideWalk {
+            words,
+            word: 0,
+            head,
+            mask: n * 64 - 1,
+        }
+    }
+}
+
+/// [`SlotSet::walk`] over a [`WideSet`].
+struct WideWalk {
+    /// The members not yet visited, rotated so `head` is bit 0.
+    words: Vec<u64>,
+    word: usize,
+    head: usize,
+    mask: usize,
+}
+
+impl Iterator for WideWalk {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while let Some(w) = self.words.get_mut(self.word) {
+            if *w != 0 {
+                let k = w.trailing_zeros() as usize;
+                *w &= *w - 1;
+                return Some((self.word * 64 + k + self.head) & self.mask);
+            }
+            self.word += 1;
+        }
+        None
+    }
+}
+
+/// One completion-buffer entry. Whether it has issued, forwards its
+/// value or holds a reservation station is kept in the [`Window`]'s
+/// sets. An issued op is *finished* once `finish_cycle <= cycle`.
 #[derive(Debug, Clone, Copy)]
 struct Op {
     seq: u64,
     kind: OpKind,
-    /// FU class, as an index into [`FU_KINDS`].
-    fx: usize,
+    /// FU class, as a [`Fu`] discriminant.
+    fx: u8,
     pred: Option<PredOutcome>,
-    /// A value-predicted load: consumers read its value from dispatch on.
-    forwards: bool,
     mem_addr: u64,
-    dst: Option<usize>,
-    src_producers: [Option<u64>; 2],
-    issued: bool,
+    /// Destination register, as a flat index.
+    dst: Option<u8>,
+    /// Result latency of a non-memory op, looked up at dispatch.
+    latency: u64,
+    /// Sequence numbers of the sources' producers. A source without an
+    /// in-flight producer at dispatch reads 0, which precedes every op
+    /// and so reads like a retired producer.
+    src_producers: [u64; 2],
+    /// Bit `k` set: source `k`'s in-window producer neither forwards nor
+    /// has issued.
+    pending: u8,
     dispatch_cycle: u64,
     /// Earliest reissue cycle after a squash.
     min_issue_cycle: u64,
-    /// In-window producers that neither forward nor have issued.
-    pending: u32,
-    /// Member of its class's armed set: waiting with `pending == 0`.
-    armed: bool,
     /// Earliest issue cycle once `pending == 0`: the latest of dispatch
     /// + 1, `min_issue_cycle` and each issued in-window producer's finish.
     ready_at: u64,
     issue_cycle: u64,
+    /// `u64::MAX` until the op issues.
     finish_cycle: u64,
-    /// For predicted loads: finish + 1; otherwise == finish.
+    /// For predicted loads: finish + 1; otherwise == finish. `u64::MAX`
+    /// until the op issues.
     verify_cycle: u64,
     /// Bit `k` set: source `k` was a speculative (predicted-load) value
     /// when this op issued; RS release waits until they all verify.
     spec_srcs: u8,
-    holds_rs: bool,
     operand_wait: u64,
     squashed_once: bool,
 }
 
 impl Op {
-    fn finished(&self, cycle: u64) -> bool {
-        self.issued && self.finish_cycle <= cycle
-    }
+    /// A ring slot no op has occupied yet.
+    const VACANT: Op = Op {
+        seq: 0,
+        kind: OpKind::IntSimple,
+        fx: 0,
+        pred: None,
+        mem_addr: 0,
+        dst: None,
+        latency: 0,
+        src_producers: [0; 2],
+        pending: 0,
+        dispatch_cycle: 0,
+        min_issue_cycle: 0,
+        ready_at: 0,
+        issue_cycle: 0,
+        finish_cycle: u64::MAX,
+        verify_cycle: u64::MAX,
+        spec_srcs: 0,
+        operand_wait: 0,
+        squashed_once: false,
+    };
 
     /// An incorrectly-predicted load whose verification has not squashed
     /// its dependents yet.
@@ -199,52 +402,56 @@ impl Op {
     }
 }
 
-/// The out-of-order window plus the small sets the scheduler works from,
-/// so that per-cycle work follows the cycle's events rather than the
-/// window size.
-struct Window {
+/// The out-of-order window: a ring of ops plus, as [`SlotSet`]s over its
+/// slots, the state the scheduler works from, so that per-cycle work
+/// follows the cycle's events rather than the window size.
+struct Window<B> {
     /// Power-of-two ring indexed by `seq & mask`.
     ring: Vec<Op>,
-    /// Each ring slot's in-window consumers in window order, one entry
-    /// per source operand that names the slot's op.
-    consumers: Vec<Vec<u64>>,
-    mask: u64,
-    /// Sequence number of the oldest in-window op.
+    /// `deps[p]`: the in-window ops that read slot `p`'s result.
+    deps: Vec<B>,
+    mask: usize,
+    /// Sequence number of the oldest in-window op. The first op is 1, so
+    /// that 0 can stand for "no producer".
     head: u64,
     /// Sequence number of the next op to dispatch.
     tail: u64,
-    /// Armed ops per FU class, in window order: waiting ops none of whose
-    /// producers is still unissued (forwarding producers never block).
-    /// A waiting op holds a reservation station, so a set never outgrows
-    /// its class.
-    armed: [Vec<u64>; 5],
-    /// Consumers armed by this cycle's issues. They cannot issue before
-    /// the next cycle, so they join their sets after the issue stage.
-    woken: Vec<u64>,
-    /// Issued ops that still hold their reservation station.
-    rs_held: Vec<u64>,
+    issued: B,
+    /// Value-predicted loads: consumers read their value from dispatch on
+    /// and never wait for them.
+    forwarding: B,
+    /// Ops holding a reservation station: every waiting op, and issued
+    /// ops until they release it.
+    holds_rs: B,
+    /// Issued ops holding their station because they consumed a
+    /// speculative value.
+    spec_held: B,
     /// Issued ops with [`Op::squash_due`].
-    squash_pending: Vec<u64>,
+    squash_pending: B,
+    /// Per FU class, the *armed* ops: waiting with no pending source. A
+    /// waiting op holds a reservation station, so a set never outgrows
+    /// its class.
+    armed: [B; 5],
     rs_used: [usize; 5],
-    /// Reused worklist for squash walks.
-    worklist: Vec<u64>,
 }
 
-impl Window {
-    fn new(completion_buffer: usize) -> Window {
-        let cap = completion_buffer.max(1).next_power_of_two();
+impl<B: SlotSet> Window<B> {
+    /// A window over a ring of `slots` slots (a power of two).
+    fn new(slots: usize) -> Window<B> {
+        let empty = B::empty(slots);
         Window {
-            ring: Vec::with_capacity(cap),
-            consumers: vec![Vec::new(); cap],
-            mask: cap as u64 - 1,
-            head: 0,
-            tail: 0,
-            armed: Default::default(),
-            woken: Vec::new(),
-            rs_held: Vec::new(),
-            squash_pending: Vec::new(),
+            ring: vec![Op::VACANT; slots],
+            deps: vec![empty.clone(); slots],
+            mask: slots - 1,
+            head: 1,
+            tail: 1,
+            issued: empty.clone(),
+            forwarding: empty.clone(),
+            holds_rs: empty.clone(),
+            spec_held: empty.clone(),
+            squash_pending: empty.clone(),
+            armed: std::array::from_fn(|_| empty.clone()),
             rs_used: [0; 5],
-            worklist: Vec::new(),
         }
     }
 
@@ -252,106 +459,125 @@ impl Window {
         (self.tail - self.head) as usize
     }
 
-    fn op(&self, seq: u64) -> &Op {
-        &self.ring[(seq & self.mask) as usize]
+    #[inline]
+    fn slot(&self, seq: u64) -> usize {
+        seq as usize & self.mask
     }
 
-    fn op_mut(&mut self, seq: u64) -> &mut Op {
-        let i = (seq & self.mask) as usize;
-        &mut self.ring[i]
+    #[inline]
+    fn head_slot(&self) -> usize {
+        self.slot(self.head)
     }
 
-    fn consumers(&self, seq: u64) -> &[u64] {
-        &self.consumers[(seq & self.mask) as usize]
-    }
-
-    /// Appends `op` at the tail.
-    fn push(&mut self, op: Op) {
-        let i = (self.tail & self.mask) as usize;
-        self.consumers[i].clear();
-        if let Some(slot) = self.ring.get_mut(i) {
-            *slot = op;
-        } else {
-            self.ring.push(op);
+    /// Appends `op` at the tail. Its producers, all in the window, are
+    /// the ones dispatch just read: the op joins their dependency rows,
+    /// and its pending sources and earliest issue cycle come from their
+    /// state.
+    #[inline]
+    fn push(&mut self, mut op: Op, forwards: bool) {
+        let t = self.slot(self.tail);
+        debug_assert!(!self.holds_rs.contains(t) && !self.squash_pending.contains(t));
+        self.deps[t].clear();
+        let mut ready_at = op.dispatch_cycle + 1;
+        for (k, p) in op.src_producers.into_iter().enumerate() {
+            if p < self.head {
+                continue;
+            }
+            let j = self.slot(p);
+            self.deps[j].insert(t);
+            if self.forwarding.contains(j) {
+                continue;
+            }
+            if self.issued.contains(j) {
+                ready_at = ready_at.max(self.ring[j].finish_cycle);
+            } else {
+                op.pending |= 1 << k;
+            }
         }
+        op.ready_at = ready_at;
+        let fx = usize::from(op.fx);
+        self.issued.remove(t);
+        if forwards {
+            self.forwarding.insert(t);
+        } else {
+            self.forwarding.remove(t);
+        }
+        self.holds_rs.insert(t);
+        if op.pending == 0 {
+            self.armed[fx].insert(t);
+        }
+        self.rs_used[fx] += 1;
+        self.ring[t] = op;
         self.tail += 1;
     }
 
-    /// Recomputes a waiting op's `pending` and `ready_at` from the current
-    /// state of its producers. Retired producers supply architectural
-    /// values; forwarding producers are available from dispatch.
-    fn refresh(&mut self, seq: u64) {
-        let op = self.op(seq);
+    /// Recomputes a waiting op's pending sources and `ready_at` from the
+    /// current state of its producers. Retired producers supply
+    /// architectural values; forwarding producers are available from
+    /// dispatch.
+    fn refresh(&mut self, s: usize) {
+        let op = &self.ring[s];
         let mut pending = 0;
         let mut ready_at = (op.dispatch_cycle + 1).max(op.min_issue_cycle);
-        for p in op.src_producers {
-            let Some(p) = p else { continue };
-            if p < self.head {
+        for (k, p) in op.src_producers.into_iter().enumerate() {
+            let j = self.slot(p);
+            if p < self.head || self.forwarding.contains(j) {
                 continue;
             }
-            let prod = self.op(p);
-            if prod.forwards {
-                continue;
-            }
-            if prod.issued {
-                ready_at = ready_at.max(prod.finish_cycle);
+            if self.issued.contains(j) {
+                ready_at = ready_at.max(self.ring[j].finish_cycle);
             } else {
-                pending += 1;
+                pending |= 1 << k;
             }
         }
-        let op = self.op_mut(seq);
+        let op = &mut self.ring[s];
         op.pending = pending;
         op.ready_at = ready_at;
-        if op.armed != (pending == 0) {
-            op.armed = pending == 0;
-            let (armed, fx) = (op.armed, op.fx);
-            let set = &mut self.armed[fx];
-            if armed {
-                insert_ordered(set, seq);
-            } else if let Some(i) = set.iter().position(|&s| s == seq) {
-                set.remove(i);
-            }
+        let armed = &mut self.armed[usize::from(op.fx)];
+        if pending == 0 {
+            armed.insert(s);
+        } else {
+            armed.remove(s);
         }
     }
 
-    /// Moves this cycle's woken consumers into their armed sets.
-    fn arm_woken(&mut self) {
-        for k in 0..self.woken.len() {
-            let c = self.woken[k];
-            let fx = self.op(c).fx;
-            insert_ordered(&mut self.armed[fx], c);
-        }
-        self.woken.clear();
+    /// The oldest member of `set` whose operands are ready at `cycle`:
+    /// the one a single-unit class issues.
+    fn first_ready(&self, set: &B, cycle: u64) -> Option<usize> {
+        set.walk(self.head_slot())
+            .find(|&s| self.ring[s].ready_at <= cycle)
     }
 
-    /// Whether every speculative source of `seq` has verified by `cycle`
-    /// (retired sources count as verified).
-    fn spec_sources_verified(&self, seq: u64, cycle: u64) -> bool {
-        let op = self.op(seq);
+    /// Whether every speculative source of `s` has verified by `cycle`
+    /// (retired sources count as verified; an unissued load's
+    /// `verify_cycle` is `u64::MAX`).
+    fn spec_sources_verified(&self, s: usize, cycle: u64) -> bool {
+        let op = &self.ring[s];
         (0..2).filter(|k| op.spec_srcs & (1 << k) != 0).all(|k| {
-            let p = op.src_producers[k].expect("a speculative source has a producer");
-            p < self.head || {
-                let prod = self.op(p);
-                prod.finished(cycle) && prod.verify_cycle <= cycle
-            }
+            let p = op.src_producers[k];
+            p < self.head || self.ring[self.slot(p)].verify_cycle <= cycle
         })
     }
 
-    /// Issues waiting op `seq` at `cycle`: records its operand wait and
+    /// Issues armed op `s` at `cycle`: records its operand wait and
     /// speculative sources and, unless it forwards, wakes its consumers.
-    fn issue(&mut self, seq: u64, cycle: u64, finish: u64, verify: u64) {
-        let op = self.op(seq);
-        let mut avail = op.dispatch_cycle;
+    /// Woken consumers join their armed sets at once; the issue stage
+    /// walks the sets as they stood when it began.
+    #[inline(always)]
+    fn issue(&mut self, s: usize, cycle: u64, finish: u64, verify: u64) {
+        let op = &self.ring[s];
+        let (seq, fx, dispatch_cycle) = (op.seq, usize::from(op.fx), op.dispatch_cycle);
+        let mut avail = dispatch_cycle;
         let mut spec_srcs = 0;
-        for (k, &p) in op.src_producers.iter().enumerate() {
-            let Some(p) = p else { continue };
+        for (k, p) in op.src_producers.into_iter().enumerate() {
             if p < self.head {
                 continue; // a retired producer adds no wait
             }
-            let prod = self.op(p);
-            if prod.forwards {
+            let j = self.slot(p);
+            let prod = &self.ring[j];
+            if self.forwarding.contains(j) {
                 // Speculative if consumed before the load verified.
-                if !prod.issued || cycle < prod.verify_cycle {
+                if cycle < prod.verify_cycle {
                     spec_srcs |= 1 << k;
                 }
                 avail = avail.max(prod.dispatch_cycle);
@@ -359,104 +585,85 @@ impl Window {
                 avail = avail.max(prod.finish_cycle);
             }
         }
-        let op = self.op_mut(seq);
-        op.issued = true;
-        op.armed = false;
+        let op = &mut self.ring[s];
         op.issue_cycle = cycle;
         op.finish_cycle = finish;
         op.verify_cycle = verify;
-        op.operand_wait = avail.saturating_sub(op.dispatch_cycle);
+        op.operand_wait = avail - dispatch_cycle;
         op.spec_srcs = spec_srcs;
-        let (forwards, squash_due) = (op.forwards, op.squash_due());
-        self.rs_held.push(seq);
-        if squash_due {
-            self.squash_pending.push(seq);
+        if op.squash_due() {
+            self.squash_pending.insert(s);
         }
-        if forwards {
+        self.issued.insert(s);
+        self.armed[fx].remove(s);
+        if spec_srcs != 0 {
+            self.spec_held.insert(s);
+        }
+        if self.forwarding.contains(s) {
             return;
         }
-        for k in 0..self.consumers(seq).len() {
-            let c = self.consumers(seq)[k];
-            let consumer = self.op_mut(c);
-            debug_assert!(!consumer.issued && consumer.pending > 0);
-            consumer.pending -= 1;
+        for c in self.deps[s].walk(0) {
+            debug_assert!(!self.issued.contains(c));
+            let consumer = &mut self.ring[c];
+            debug_assert!(consumer.pending != 0);
+            for k in 0..2 {
+                if consumer.src_producers[k] == seq {
+                    consumer.pending &= !(1 << k);
+                }
+            }
             consumer.ready_at = consumer.ready_at.max(finish);
             if consumer.pending == 0 {
-                consumer.armed = true;
-                self.woken.push(c);
+                self.armed[usize::from(consumer.fx)].insert(c);
             }
         }
     }
 
     /// On an incorrect load's verification, returns every issued
     /// transitive dependent that consumed the wrong value to waiting (it
-    /// may reissue from `cycle`), walking the consumer sets breadth-first,
-    /// then recomputes the eligibility of the ops that now wait on a
-    /// squashed producer.
-    fn squash_dependents(&mut self, load: u64, load_finish: u64, cycle: u64) {
-        let mut work = std::mem::take(&mut self.worklist);
-        work.clear();
-        work.push(load);
-        let mut k = 0;
-        while k < work.len() {
-            let p = work[k];
-            k += 1;
-            for j in 0..self.consumers(p).len() {
-                let c = self.consumers(p)[j];
-                let op = self.op_mut(c);
-                // Direct dependents of the load squash only if they issued
-                // before the correct value returned; transitive dependents
-                // of squashed ops always squash (their input was wrong).
-                if !op.issued || (p == load && op.issue_cycle >= load_finish) {
-                    continue;
-                }
-                op.issued = false;
-                op.min_issue_cycle = cycle;
-                op.spec_srcs = 0;
-                op.finish_cycle = u64::MAX;
-                op.verify_cycle = u64::MAX;
-                let fx = op.fx;
-                let held = op.holds_rs;
-                // A waiting op holds a reservation station.
-                op.holds_rs = true;
-                if op.squash_due() {
-                    remove_seq(&mut self.squash_pending, c);
-                }
-                if held {
-                    remove_seq(&mut self.rs_held, c);
-                } else {
-                    self.rs_used[fx] += 1;
-                }
-                work.push(c);
+    /// may reissue from `cycle`): the load's direct consumers that issued
+    /// before its value returned, closed over `deps[..] & issued`. Then
+    /// recomputes the squashed ops and their consumers.
+    fn squash_dependents(&mut self, load: usize, load_finish: u64, cycle: u64) {
+        let mut frontier = B::empty(self.mask + 1);
+        for c in self.deps[load].walk(0) {
+            if self.issued.contains(c) && self.ring[c].issue_cycle < load_finish {
+                frontier.insert(c);
             }
         }
-        for &s in &work[1..] {
+        // Transitive dependents of squashed ops always squash: their input
+        // was wrong.
+        let mut squashed = frontier.clone();
+        while !frontier.is_empty() {
+            let mut next = B::empty(self.mask + 1);
+            for s in frontier.walk(0) {
+                next.union_with(&self.deps[s]);
+            }
+            next.intersect_with(&self.issued);
+            next.subtract(&squashed);
+            squashed.union_with(&next);
+            frontier = next;
+        }
+        let mut stale = squashed.clone();
+        for c in squashed.walk(0) {
+            stale.union_with(&self.deps[c]);
+            let op = &mut self.ring[c];
+            op.min_issue_cycle = cycle;
+            op.spec_srcs = 0;
+            op.finish_cycle = u64::MAX;
+            op.verify_cycle = u64::MAX;
+            let fx = usize::from(op.fx);
+            self.issued.remove(c);
+            self.spec_held.remove(c);
+            self.squash_pending.remove(c);
+            // A waiting op holds a reservation station.
+            if !self.holds_rs.contains(c) {
+                self.holds_rs.insert(c);
+                self.rs_used[fx] += 1;
+            }
+        }
+        for s in stale.walk(0) {
             self.refresh(s);
-            for j in 0..self.consumers(s).len() {
-                let c = self.consumers(s)[j];
-                self.refresh(c);
-            }
         }
-        self.worklist = work;
-    }
-}
-
-/// Inserts `seq` into a set kept in window (sequence) order. New members
-/// are mostly the youngest, so the shift is short.
-fn insert_ordered(set: &mut Vec<u64>, seq: u64) {
-    set.push(seq);
-    let mut k = set.len() - 1;
-    while k > 0 && set[k - 1] > seq {
-        set[k] = set[k - 1];
-        k -= 1;
-    }
-    set[k] = seq;
-}
-
-/// Removes one occurrence of `seq` from an unordered set.
-fn remove_seq(set: &mut Vec<u64>, seq: u64) {
-    if let Some(i) = set.iter().position(|&s| s == seq) {
-        set.swap_remove(i);
     }
 }
 
@@ -468,13 +675,17 @@ fn remove_seq(set: &mut Vec<u64>, seq: u64) {
 /// baseline. The model reads only these verdicts — never the
 /// predictor's tables — so every backend is costed identically.
 ///
-/// The scheduler is event-driven (DESIGN.md §8.1): each op knows its
-/// in-window consumers, and a waiting op's earliest issue cycle is fixed
-/// when its last non-forwarded producer issues. Issue walks per-FU-class
-/// sets of such armed ops in window order; RS release, incorrect-load squashes and
-/// retirement each work from a small set; idle stretches are skipped to
-/// the next event. Results are bit-identical to the cycle-by-cycle
-/// reference model kept in the test module.
+/// The scheduler is event-driven (DESIGN.md §8.1). The window is a ring
+/// whose state — issued, forwarding, holding a reservation station,
+/// armed per FU class — is kept as bitsets over its slots, and each slot
+/// has a row of the slots that read it. A waiting op's earliest issue
+/// cycle is fixed when its last non-forwarded producer issues. Issue
+/// runs one loop per FU class over its armed ops in window order; RS
+/// release, incorrect-load squashes and retirement each work from a
+/// set; idle stretches are skipped to the next event. Completion
+/// buffers of up to 64 entries run on one-word sets, wider ones on
+/// multi-word sets through the same code. Results are bit-identical to
+/// the cycle-by-cycle reference model kept in the test module.
 ///
 /// # Panics
 ///
@@ -485,6 +696,27 @@ pub fn simulate_620(
     outcomes: Option<&[PredOutcome]>,
     config: &Ppc620Config,
 ) -> SimResult {
+    if config.completion_buffer <= 64 {
+        run::<u64>(trace, outcomes, config, 64)
+    } else {
+        let slots = config.completion_buffer.next_power_of_two();
+        run::<WideSet>(trace, outcomes, config, slots)
+    }
+}
+
+/// [`simulate_620`] on a window of `slots` ring slots.
+fn run<B: SlotSet>(
+    trace: &Trace,
+    outcomes: Option<&[PredOutcome]>,
+    config: &Ppc620Config,
+    slots: usize,
+) -> SimResult {
+    const SCFX: usize = Fu::Scfx as usize;
+    const MCFX: usize = Fu::Mcfx as usize;
+    const FPU: usize = Fu::Fpu as usize;
+    const LSU: usize = Fu::Lsu as usize;
+    const BRU: usize = Fu::Bru as usize;
+
     let mut result = SimResult::default();
     let mut bp = BranchPredictor::new(2048, 256);
     let mut mem = MemHierarchy::new(config.l1, config.l2, config.mem_latency);
@@ -496,10 +728,12 @@ pub fn simulate_620(
     let mut next_dispatch = 0usize; // entries dispatched so far
     let mut load_index = 0usize;
 
-    let mut w = Window::new(config.completion_buffer);
-    let mut reg_producer: [Option<u64>; 64] = [None; 64];
+    let mut w = Window::<B>::new(slots);
+    // The in-flight producer of each register, 0 for none.
+    let mut reg_producer = [0u64; 64];
     let rs_cap = config.rs_per_class;
-    let units = FU_KINDS.map(|fu| config.units(fu));
+    let scfx_units = config.units(Fu::Scfx);
+    let lsu_units = config.units(Fu::Lsu);
 
     let mut gpr_free = config.gpr_renames;
     let mut fpr_free = config.fpr_renames;
@@ -509,72 +743,63 @@ pub fn simulate_620(
     let mut fpu_complex_busy: u64 = 0;
     // Fill times of in-flight L1 misses (the MSHRs).
     let mut mshr_fill: Vec<u64> = Vec::new();
-    // Reused list of the loads that squash this cycle.
-    let mut due: Vec<u64> = Vec::new();
 
-    // Branch redirect state.
-    let mut pending_gate: Option<u64> = None; // seq of unresolved mispredicted branch
+    // Branch redirect state: the ring slot of the unresolved mispredicted
+    // branch (it cannot retire, so cannot lose its slot, before issuing).
+    let mut pending_gate: Option<usize> = None;
     let mut dispatch_blocked_until: u64 = 0;
 
     let mut cycle: u64 = 0;
-    let mut last_progress: (u64, (u64, usize)) = (0, (0, 0));
+    let mut last_progress: (u64, (u64, usize)) = (0, (w.head, 0));
 
     while next_entry.is_some() || w.len() > 0 {
-        // Number of state changes this cycle; when a full cycle performs
+        // Whether this cycle changed any state; when a full cycle changes
         // none, every future change is gated on a known event cycle and
         // the idle stretch can be skipped wholesale (see below).
-        let mut activity = 0usize;
+        let mut active = false;
 
         // ---- 1. squashes of incorrect loads verifying this cycle ----
         // In window order: a load squashed by an earlier one this cycle
-        // waits again and does not squash.
-        due.clear();
+        // waits again (its `verify_cycle` is reset) and does not squash.
         if !w.squash_pending.is_empty() {
-            due.extend(
-                w.squash_pending
-                    .iter()
-                    .copied()
-                    .filter(|&s| w.op(s).verify_cycle == cycle),
-            );
-            due.sort_unstable();
-        }
-        for &s in &due {
-            let op = w.op(s);
-            if !op.issued {
-                continue;
+            for s in w.squash_pending.walk(w.head_slot()) {
+                let op = &mut w.ring[s];
+                if op.verify_cycle != cycle {
+                    continue;
+                }
+                op.squashed_once = true;
+                let finish = op.finish_cycle;
+                w.squash_pending.remove(s);
+                w.squash_dependents(s, finish, cycle);
+                active = true;
             }
-            let finish = op.finish_cycle;
-            w.op_mut(s).squashed_once = true;
-            remove_seq(&mut w.squash_pending, s);
-            w.squash_dependents(s, finish, cycle);
-            activity += 1;
         }
 
         // ---- 2. release reservation stations ----
         // Ops issued in an earlier cycle release now, unless they consumed
         // a speculative value that has not verified yet.
-        let mut i = 0;
-        while i < w.rs_held.len() {
-            let s = w.rs_held[i];
-            if w.op(s).spec_srcs != 0 && !w.spec_sources_verified(s, cycle) {
-                i += 1;
+        let mut held = w.holds_rs.clone();
+        held.intersect_with(&w.issued);
+        for s in held.walk(0) {
+            if w.spec_held.contains(s) && !w.spec_sources_verified(s, cycle) {
                 continue;
             }
-            w.rs_held.swap_remove(i);
-            let op = w.op_mut(s);
-            op.holds_rs = false;
-            let fx = op.fx;
-            w.rs_used[fx] -= 1;
-            activity += 1;
+            w.holds_rs.remove(s);
+            w.spec_held.remove(s);
+            w.rs_used[usize::from(w.ring[s].fx)] -= 1;
+            active = true;
         }
 
         // ---- 3. in-order completion ----
         let mut retired = 0usize;
         while retired < config.width && w.len() > 0 {
-            let s = w.op(w.head);
-            // A speculative source precedes the head, so it has retired:
-            // an op whose RS is released is ready to complete.
-            if !s.finished(cycle) || cycle < s.verify_cycle || s.holds_rs {
+            // A waiting op holds its station, and verification never
+            // precedes finishing. A speculative source precedes the head,
+            // so it has retired: an op whose RS is released is ready to
+            // complete once it verifies.
+            let h = w.head_slot();
+            let s = &w.ring[h];
+            if w.holds_rs.contains(h) || s.verify_cycle > cycle {
                 break;
             }
             retired += 1;
@@ -584,9 +809,9 @@ pub fn simulate_620(
                 // The store drains from the store queue into its bank.
                 banks.claim(s.mem_addr, cycle);
             }
-            if let Some(d) = s.dst {
-                if reg_producer[d] == Some(s.seq) {
-                    reg_producer[d] = None;
+            if let Some(d) = s.dst.map(usize::from) {
+                if reg_producer[d] == w.head {
+                    reg_producer[d] = 0;
                 }
                 if d < 32 {
                     gpr_free += 1;
@@ -612,107 +837,117 @@ pub fn simulate_620(
             }
             w.head += 1;
         }
-        activity += retired;
+        active |= retired > 0;
 
         // ---- 4. issue ----
-        // Per FU class, each class's armed set in window order. Issuing
-        // an op never changes whether an op of a *different* class issues
-        // this cycle: a value produced this cycle is available no earlier
-        // than the next one, and the structural resources (banks, MSHRs,
-        // the unpipelined MCFX/FPU timers) are each private to one class.
+        // One loop per FU class over the class's armed ops in window
+        // order, as they stood when the stage began: an op woken this
+        // cycle cannot issue before the next one. Issuing an op never
+        // changes whether an op of a *different* class issues this cycle:
+        // a value produced this cycle is available no earlier than the
+        // next one, and the structural resources (banks, MSHRs, the
+        // unpipelined MCFX/FPU timers, the fetch gate) are each private
+        // to one class. Each loop stops at its class's last free unit.
         if !mshr_fill.is_empty() {
             mshr_fill.retain(|&t| t > cycle);
         }
-        for (fx, fu) in FU_KINDS.into_iter().enumerate() {
-            if w.armed[fx].is_empty() {
-                continue;
-            }
-            // A busy unpipelined unit closes its whole class this cycle.
-            match fu {
-                Fu::Mcfx if mcfx_busy > cycle => continue,
-                // A complex FP op occupies the single FPU end-to-end.
-                Fu::Fpu if fpu_complex_busy > cycle => continue,
-                _ => {}
-            }
-            let mut left = units[fx];
-            // Issued ops leave the set; the rest are compacted in order.
-            // Issuing arms no op before the next cycle, so the set does
-            // not change under the walk.
-            let mut keep = 0;
-            for r in 0..w.armed[fx].len() {
-                let s = w.armed[fx][r];
-                let op = w.op(s);
-                if left == 0 || op.ready_at > cycle {
-                    w.armed[fx][keep] = s;
-                    keep += 1;
+        let head = w.head_slot();
+        let armed = w.armed.clone();
+        if !armed[SCFX].is_empty() {
+            let mut left = scfx_units;
+            for s in armed[SCFX].walk(head) {
+                if w.ring[s].ready_at > cycle {
                     continue;
                 }
-                let kind = op.kind;
-                let (finish, verify) = match kind {
-                    OpKind::Load => {
-                        let agen_done = cycle + 1;
-                        if op.pred == Some(PredOutcome::Constant) {
-                            // CVU verifies without touching the cache.
-                            let fin = agen_done + 1;
-                            (fin, fin + 1)
-                        } else {
-                            // A miss needs a free MSHR; a load that finds
-                            // none waits without using the LSU's slot.
-                            if mshr_fill.len() >= config.mshrs && !mem.probe_l1(op.mem_addr) {
-                                w.armed[fx][keep] = s;
-                                keep += 1;
-                                continue;
-                            }
-                            let granted = banks.claim(op.mem_addr, agen_done);
-                            result.l1_accesses += 1;
-                            let extra = mem.access(op.mem_addr);
-                            if extra > 0 {
-                                result.l1_misses += 1;
-                                mshr_fill.push(granted + 1 + extra);
-                            }
-                            let fin = granted + 1 + extra;
-                            let ver = if op.forwards { fin + 1 } else { fin };
-                            (fin, ver)
-                        }
+                let finish = cycle + w.ring[s].latency;
+                w.issue(s, cycle, finish, finish);
+                active = true;
+                left -= 1;
+                if left == 0 {
+                    break;
+                }
+            }
+        }
+        // A busy unpipelined unit closes its whole class this cycle.
+        if !armed[MCFX].is_empty() && mcfx_busy <= cycle {
+            if let Some(s) = w.first_ready(&armed[MCFX], cycle) {
+                let finish = cycle + w.ring[s].latency;
+                w.issue(s, cycle, finish, finish);
+                mcfx_busy = finish;
+                active = true;
+            }
+        }
+        // A complex FP op occupies the single FPU end-to-end.
+        if !armed[FPU].is_empty() && fpu_complex_busy <= cycle {
+            if let Some(s) = w.first_ready(&armed[FPU], cycle) {
+                let op = &w.ring[s];
+                let finish = cycle + op.latency;
+                if op.kind == OpKind::FpComplex {
+                    fpu_complex_busy = finish;
+                }
+                w.issue(s, cycle, finish, finish);
+                active = true;
+            }
+        }
+        if !armed[LSU].is_empty() && lsu_units > 0 {
+            let mut left = lsu_units;
+            for s in armed[LSU].walk(head) {
+                let op = &w.ring[s];
+                if op.ready_at > cycle {
+                    continue;
+                }
+                let addr = op.mem_addr;
+                let agen_done = cycle + 1;
+                let (finish, verify) = if op.kind == OpKind::Store {
+                    // Stores only generate their address here; the
+                    // data-cache bank is accessed at completion, when the
+                    // store drains from the store queue (so loads and
+                    // stores contend for banks, as in Section 6.5).
+                    result.l1_accesses += 1;
+                    if mem.access(addr) > 0 {
+                        result.l1_misses += 1;
                     }
-                    OpKind::Store => {
-                        // Stores only generate their address here; the
-                        // data-cache bank is accessed at completion,
-                        // when the store drains from the store queue
-                        // (so loads and stores contend for banks, as
-                        // in Section 6.5).
-                        let agen_done = cycle + 1;
-                        result.l1_accesses += 1;
-                        let extra = mem.access(op.mem_addr);
-                        if extra > 0 {
-                            result.l1_misses += 1;
-                        }
-                        let fin = agen_done + 1;
-                        (fin, fin)
+                    (agen_done + 1, agen_done + 1)
+                } else if op.pred == Some(PredOutcome::Constant) {
+                    // CVU verifies without touching the cache.
+                    (agen_done + 1, agen_done + 2)
+                } else {
+                    // A miss needs a free MSHR; a load that finds none
+                    // waits without using the LSU's slot.
+                    if mshr_fill.len() >= config.mshrs && !mem.probe_l1(addr) {
+                        continue;
                     }
-                    kind => {
-                        let fin = cycle + config.latency.result_latency(kind);
-                        (fin, fin)
+                    let granted = banks.claim(addr, agen_done);
+                    result.l1_accesses += 1;
+                    let extra = mem.access(addr);
+                    let finish = granted + 1 + extra;
+                    if extra > 0 {
+                        result.l1_misses += 1;
+                        mshr_fill.push(finish);
                     }
+                    (finish, finish + u64::from(w.forwarding.contains(s)))
                 };
                 w.issue(s, cycle, finish, verify);
-                match fu {
-                    Fu::Mcfx => mcfx_busy = finish,
-                    Fu::Fpu if kind == OpKind::FpComplex => fpu_complex_busy = finish,
-                    _ => {}
+                active = true;
+                left -= 1;
+                if left == 0 {
+                    break;
                 }
+            }
+        }
+        if !armed[BRU].is_empty() {
+            if let Some(s) = w.first_ready(&armed[BRU], cycle) {
+                let finish = cycle + w.ring[s].latency;
+                w.issue(s, cycle, finish, finish);
                 // A mispredicted branch resolves the fetch gate when it
                 // executes: refetch begins after the penalty.
                 if pending_gate == Some(s) {
                     dispatch_blocked_until = finish + config.latency.mispredict_penalty;
                     pending_gate = None;
                 }
-                left -= 1;
-                activity += 1;
+                active = true;
             }
-            w.armed[fx].truncate(keep);
         }
-        w.arm_woken();
 
         // ---- 5. dispatch ----
         let mut dispatched = 0usize;
@@ -723,7 +958,7 @@ pub fn simulate_620(
             && w.len() < config.completion_buffer
         {
             let Some(e) = next_entry else { break };
-            let fx = fu_ix(fu_of(e.kind));
+            let fx = fu_of(e.kind) as usize;
             if w.rs_used[fx] >= rs_cap {
                 break;
             }
@@ -775,51 +1010,36 @@ pub fn simulate_620(
 
             // Register producers point only at in-window ops: retirement
             // clears them.
-            let mut src_producers = [None, None];
+            let mut src_producers = [0; 2];
             for (k, src) in e.srcs.into_iter().enumerate() {
                 if let Some(r) = src {
-                    let p = reg_producer[r.flat_index()];
-                    if let Some(p) = p {
-                        let pi = (p & w.mask) as usize;
-                        w.consumers[pi].push(seq);
-                    }
-                    src_producers[k] = p;
+                    src_producers[k] = reg_producer[r.flat_index()];
                 }
             }
             if let Some(d) = dst {
-                reg_producer[d] = Some(seq);
+                reg_producer[d] = seq;
                 if d < 32 {
                     gpr_free -= 1;
                 } else {
                     fpr_free -= 1;
                 }
             }
-            w.rs_used[fx] += 1;
 
-            w.push(Op {
-                seq,
-                kind: e.kind,
-                fx,
-                pred,
-                forwards: e.kind == OpKind::Load && pred.is_some_and(|p| p.predicted()),
-                mem_addr: e.mem.map_or(0, |m| m.addr),
-                dst,
-                src_producers,
-                issued: false,
-                dispatch_cycle: cycle,
-                min_issue_cycle: 0,
-                pending: 0,
-                armed: false,
-                ready_at: 0,
-                issue_cycle: 0,
-                finish_cycle: u64::MAX,
-                verify_cycle: u64::MAX,
-                spec_srcs: 0,
-                holds_rs: true,
-                operand_wait: 0,
-                squashed_once: false,
-            });
-            w.refresh(seq);
+            w.push(
+                Op {
+                    seq,
+                    kind: e.kind,
+                    fx: fx as u8,
+                    pred,
+                    mem_addr: e.mem.map_or(0, |m| m.addr),
+                    dst: dst.map(|d| d as u8),
+                    latency: config.latency.result_latency(e.kind),
+                    src_producers,
+                    dispatch_cycle: cycle,
+                    ..Op::VACANT
+                },
+                e.kind == OpKind::Load && pred.is_some_and(|p| p.predicted()),
+            );
             next_entry = entries.next();
             next_dispatch += 1;
             dispatched += 1;
@@ -827,11 +1047,11 @@ pub fn simulate_620(
                 mem_dispatched += 1;
             }
             if mispredicted {
-                pending_gate = Some(seq);
+                pending_gate = Some(w.slot(seq));
                 break;
             }
         }
-        activity += dispatched;
+        active |= dispatched > 0;
 
         // Idle-cycle skipping: a cycle with zero state changes implies
         // every future change is gated on one of the event cycles
@@ -843,11 +1063,12 @@ pub fn simulate_620(
         // harmless (the cycle is idle again), so taking the minimum
         // over a superset of the live events is safe.
         let mut next_cycle = cycle + 1;
-        if activity == 0 {
+        if !active {
             let mut event = u64::MAX;
-            for s in w.head..w.tail {
-                let op = w.op(s);
-                let e = if !op.issued {
+            for seq in w.head..w.tail {
+                let s = w.slot(seq);
+                let op = &w.ring[s];
+                let e = if !w.issued.contains(s) {
                     op.ready_at
                 } else if op.finish_cycle > cycle {
                     op.finish_cycle
@@ -880,7 +1101,7 @@ pub fn simulate_620(
         } else if cycle - last_progress.0 > 100_000 {
             panic!(
                 "620 model deadlock at cycle {cycle}: window head {:?}",
-                (w.len() > 0).then(|| w.op(w.head))
+                (w.len() > 0).then(|| w.ring[w.head_slot()])
             );
         }
     }
@@ -895,11 +1116,14 @@ pub fn simulate_620(
 mod reference {
     //! The original cycle-by-cycle, split-pass implementation of
     //! [`simulate_620`], kept verbatim as a differential oracle: the
-    //! event-driven model (consumer wakeup, per-class waiting sets,
-    //! idle-cycle skipping) must produce bit-identical [`SimResult`]s.
-    //! Every cycle it rescans the whole window for squashes, finishes,
-    //! RS releases and, once per FU class, issue candidates.
+    //! event-driven model (bitset window, dependency rows, per-class
+    //! issue loops, idle-cycle skipping) must produce bit-identical
+    //! [`SimResult`]s. Every cycle it rescans the whole window for
+    //! squashes, finishes, RS releases and, once per FU class, issue
+    //! candidates.
     use super::*;
+
+    const FU_KINDS: [Fu; 5] = [Fu::Scfx, Fu::Mcfx, Fu::Fpu, Fu::Lsu, Fu::Bru];
 
     #[derive(Debug, Copy, Clone, PartialEq, Eq)]
     enum State {
@@ -1546,8 +1770,10 @@ mod tests {
     }
 
     /// Every machine the differential oracle runs: the 620 and 620+, the
-    /// `ablation_machine` extremes (completion buffers 8 and 64), a
-    /// 128-entry completion buffer, and a 620 with a single MSHR.
+    /// `ablation_machine` extremes (completion buffers 8 and 64, the
+    /// widest one-word window), completion buffers of 65 (one past the
+    /// word boundary), 128 and 256 (multi-word windows), and a 620 with a
+    /// single MSHR.
     fn oracle_configs() -> Vec<Ppc620Config> {
         vec![
             Ppc620Config::base(),
@@ -1555,9 +1781,19 @@ mod tests {
             scaled("620/2", 0.5, 1, 1),
             scaled("620x4", 4.0, 2, 2),
             Ppc620Config {
+                name: "620-cb65",
+                completion_buffer: 65,
+                ..scaled("620x8", 8.0, 2, 2)
+            },
+            Ppc620Config {
                 name: "620-cb128",
                 completion_buffer: 128,
                 ..scaled("620x8", 8.0, 2, 2)
+            },
+            Ppc620Config {
+                name: "620-cb256",
+                completion_buffer: 256,
+                ..scaled("620x16", 16.0, 2, 2)
             },
             Ppc620Config {
                 name: "620-mshr1",

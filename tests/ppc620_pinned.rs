@@ -1,8 +1,9 @@
 //! Pins the 620 timing model's results on the committed golden-trace
 //! fixtures. The model's differential oracle (`ppc620::reference`) lives
-//! in the `lvp-uarch` test module, which the facade's `cargo test` does
-//! not build; this test keeps a scheduler change that alters any timing
-//! result visible there too.
+//! in the `lvp-uarch` test module and compares two implementations with
+//! each other. These pins check the model through the facade's public
+//! API against values recorded before the event-driven rewrite, so a
+//! scheduler change that alters any timing result fails here too.
 //!
 //! Each row is one `ablation_machine` configuration × outcome stream ×
 //! fixture. The pinned fields are cycles, retired instructions, L1
