@@ -11,7 +11,9 @@ use lvp_predictor::characterize::{Characterization, Characterizer};
 use lvp_predictor::{LvpConfig, LvpUnit, PredictorKind};
 use lvp_uarch::SimResult;
 use lvp_workloads::{Workload, WorkloadRun};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The workload subset used by `--fast` smoke runs: the smallest suite
@@ -172,6 +174,11 @@ impl Engine {
     /// is identical at any worker count. On failure the error of the
     /// lowest-indexed failing job is returned (also deterministic).
     ///
+    /// A panic never escapes: one inside a pipeline stage is that
+    /// stage's cached error (see [`Ctx`]), and one in the rest of a job
+    /// body fails the job in [`Phase::Plan`], naming its workload. The
+    /// engine stays usable for the next plan.
+    ///
     /// # Errors
     ///
     /// Propagates the first (by job index) [`HarnessError`] any job
@@ -196,7 +203,15 @@ impl Engine {
                     if i >= n {
                         break;
                     }
-                    let out = (plan.run)(&plan.jobs[i], &ctx);
+                    let job = &plan.jobs[i];
+                    let out = catch_unwind(AssertUnwindSafe(|| (plan.run)(job, &ctx)))
+                        .unwrap_or_else(|payload| {
+                            Err(HarnessError::new(
+                                Phase::Plan,
+                                job.workload.name,
+                                format!("job {} panicked: {}", job.key(), panic_message(&*payload)),
+                            ))
+                        });
                     if out.is_err() {
                         failed.store(true, Ordering::Relaxed);
                     }
@@ -224,8 +239,23 @@ impl Engine {
     }
 }
 
+/// The text of a panic payload: the `panic!` message, when it has one.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "(non-string panic payload)"
+    }
+}
+
 /// Cached access to the three pipeline phases; handed to every plan job
 /// and available directly via [`Engine::ctx`].
+///
+/// Each stage computes under `catch_unwind`: a panic in it becomes a
+/// [`HarnessError`] in that stage's [`Phase`], naming the workload and
+/// carrying the panic message, and is cached like any other error.
 pub struct Ctx<'e> {
     engine: &'e Engine,
 }
@@ -235,15 +265,25 @@ impl Ctx<'_> {
         (w.name, profile, opt)
     }
 
-    /// Runs `f`, charging its wall time to the per-stage counter
-    /// `counter` (the cheap ns accounting behind `lvp bench`'s stage
-    /// breakdown; one `Instant` pair per cache miss, nothing per entry).
-    fn timed<T>(
-        counter: &std::sync::atomic::AtomicU64,
+    /// Computes one stage of `w`: runs `f`, turning a panic into an
+    /// error in `phase`, and charges its wall time to the per-stage
+    /// counter `counter` (the cheap ns accounting behind `lvp bench`'s
+    /// stage breakdown; one `Instant` pair per cache miss, nothing per
+    /// entry).
+    fn stage<T>(
+        counter: &AtomicU64,
+        phase: Phase,
+        w: &Workload,
         f: impl FnOnce() -> Result<T, HarnessError>,
     ) -> Result<T, HarnessError> {
         let start = std::time::Instant::now();
-        let out = f();
+        let out = catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+            Err(HarnessError::new(
+                phase,
+                w.name,
+                format!("panicked: {}", panic_message(&*payload)),
+            ))
+        });
         counter.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         out
     }
@@ -268,7 +308,7 @@ impl Ctx<'_> {
         cache
             .traces
             .get_or_compute(Self::trace_key(w, profile, opt), || {
-                Self::timed(&cache.trace_ns, || {
+                Self::stage(&cache.trace_ns, Phase::Trace, w, || {
                     w.run_at(profile, opt).map_err(|e| {
                         HarnessError::new(
                             Phase::Trace,
@@ -326,7 +366,7 @@ impl Ctx<'_> {
         let key = (Self::trace_key(w, profile, opt), config_key(config), hinted);
         let cache = &self.engine.cache;
         cache.annotations.get_or_compute(key, || {
-            Self::timed(&cache.annotate_ns, || {
+            Self::stage(&cache.annotate_ns, Phase::Annotate, w, || {
                 let mut unit = LvpUnit::new(config.clone());
                 if hinted {
                     let report = lvp_analyze::analyze_value_flow(&run.program);
@@ -367,7 +407,7 @@ impl Ctx<'_> {
         );
         let cache = &self.engine.cache;
         cache.timings.get_or_compute(key, || {
-            Self::timed(&cache.timing_ns, || {
+            Self::stage(&cache.timing_ns, Phase::Timing, w, || {
                 let outcomes = annotation.as_ref().map(|a| a.outcomes.as_slice());
                 Ok(machine.simulate(&run.trace, outcomes))
             })
@@ -396,7 +436,7 @@ impl Ctx<'_> {
         let key = (Self::trace_key(w, profile, opt), config_key(config));
         let cache = &self.engine.cache;
         cache.crosschecks.get_or_compute(key, || {
-            Self::timed(&cache.crosscheck_ns, || {
+            Self::stage(&cache.crosscheck_ns, Phase::Analyze, w, || {
                 let cell = format!("{}/{profile}/{opt:?}", w.name);
                 Ok(cross_check(&run.program, &run.trace, config, cell))
             })
@@ -424,7 +464,7 @@ impl Ctx<'_> {
         let key = Self::trace_key(w, profile, opt);
         let cache = &self.engine.cache;
         cache.value_flows.get_or_compute(key, || {
-            Self::timed(&cache.value_flow_ns, || {
+            Self::stage(&cache.value_flow_ns, Phase::Analyze, w, || {
                 let cell = format!("{}/{profile}/{opt:?}", w.name);
                 Ok(value_flow_check(&run.program, &run.trace, cell))
             })
@@ -449,7 +489,7 @@ impl Ctx<'_> {
         let key = Self::trace_key(w, profile, opt);
         let cache = &self.engine.cache;
         cache.characterizations.get_or_compute(key, || {
-            Self::timed(&cache.characterize_ns, || {
+            Self::stage(&cache.characterize_ns, Phase::Analyze, w, || {
                 Ok(Characterizer::from_trace(&run.trace))
             })
         })

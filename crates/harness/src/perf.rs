@@ -24,7 +24,7 @@
 //! deterministic.
 
 use lvp_predictor::presets;
-use lvp_predictor::{LvpUnit, PredictorKind};
+use lvp_predictor::{LvpConfig, LvpUnit, PredictorKind};
 use lvp_trace::{
     read_trace, write_trace, BranchEvent, MemAccess, OpKind, RegRef, Trace, TraceEntry,
 };
@@ -397,10 +397,10 @@ fn real_trace(profile: lvp_isa::AsmProfile) -> Trace {
         .expect("suite workload completes")
 }
 
-/// `LvpUnit::annotate` (Simple preset) over the real xlisp trace.
-fn bench_annotate_real(cfg: &PerfConfig) -> Vec<u64> {
+/// `LvpUnit::annotate` under `config` over the real xlisp trace.
+fn bench_annotate_real(cfg: &PerfConfig, config: LvpConfig) -> Vec<u64> {
     let trace = real_trace(lvp_isa::AsmProfile::Toc);
-    sample(cfg, || LvpUnit::new(presets::simple()).annotate(&trace))
+    sample(cfg, || LvpUnit::new(config.clone()).annotate(&trace))
 }
 
 /// `simulate_620` over the real xlisp trace with Simple-preset outcomes.
@@ -539,7 +539,13 @@ pub fn benches() -> &'static [BenchDef] {
             name: "annotate_real_xlisp",
             fast: true,
             what: "LvpUnit::annotate (Simple preset) over the real xlisp trace",
-            run: |cfg| bench_annotate_real(cfg),
+            run: |cfg| bench_annotate_real(cfg, presets::simple()),
+        },
+        BenchDef {
+            name: "annotate_real_xlisp_limit",
+            fast: true,
+            what: "LvpUnit::annotate (Limit preset, 128-entry CVU) over the real xlisp trace",
+            run: |cfg| bench_annotate_real(cfg, presets::limit()),
         },
         BenchDef {
             name: "sim_620_256k",

@@ -1,9 +1,10 @@
 //! Integration tests for the experiment engine: determinism across
-//! worker counts, exactly-once caching across experiments, and golden
-//! comparison of fast-subset rows against the committed full-suite
-//! `results/*.txt` files.
+//! worker counts, exactly-once caching across experiments, panic
+//! isolation, and golden comparison of fast-subset rows against the
+//! committed full-suite `results/*.txt` files.
 
-use lvp_harness::{experiment, Engine, FAST_WORKLOADS};
+use lvp_harness::{experiment, Engine, ExperimentPlan, HarnessError, Phase, FAST_WORKLOADS};
+use lvp_predictor::presets;
 
 fn run_named(engine: &Engine, name: &str) -> String {
     let def = experiment(name).unwrap_or_else(|| panic!("unknown experiment {name}"));
@@ -98,4 +99,68 @@ fn fast_subset_matches_committed_results() {
             "{name}: fast-subset rows diverge from {golden_path}"
         );
     }
+}
+
+/// A panic inside a pipeline stage becomes that stage's error, naming
+/// the workload and carrying the panic message, and is cached like any
+/// other error; the engine runs the next plan normally.
+#[test]
+fn a_panicking_stage_is_a_cached_error() {
+    let engine = Engine::new()
+        .with_workload_names(&["quick"])
+        .expect("suite workload")
+        .with_threads(2);
+    // `Lct::new` panics on a table size that is not a power of two.
+    let bad = presets::simple().builder().lct_entries(3).build();
+    let annotate = |config: lvp_predictor::LvpConfig| {
+        ExperimentPlan::new()
+            .workloads(engine.suite().to_vec())
+            .configs([config])
+            .map(|job, ctx| ctx.job_annotation(job).map(|a| a.stats.loads))
+    };
+    for _ in 0..2 {
+        let e = engine.run(annotate(bad.clone())).unwrap_err();
+        assert_eq!(
+            (e.phase, e.target.as_str()),
+            (Phase::Annotate, "quick"),
+            "{e}"
+        );
+        assert!(
+            e.message.contains("LCT entry count must be a power of two"),
+            "{e}"
+        );
+    }
+    let stats = engine.stats();
+    assert_eq!(
+        (stats.annotations_computed, stats.annotation_hits),
+        (1, 1),
+        "the panic's error is cached"
+    );
+    let loads = engine
+        .run(annotate(presets::simple()))
+        .expect("engine still usable");
+    assert!(loads[0] > 0);
+}
+
+/// A panic in a job body outside any stage fails the run with an
+/// error naming the job's workload, not "a scoped thread panicked".
+#[test]
+fn a_panicking_job_fails_its_plan_and_the_engine_stays_usable() {
+    let engine = Engine::fast().with_threads(2);
+    let plan = ExperimentPlan::new()
+        .workloads(engine.suite().to_vec())
+        .map(|job, _| -> Result<usize, HarnessError> {
+            if job.workload.name == "grep" {
+                panic!("no rows for {}", job.workload.name);
+            }
+            Ok(job.index)
+        });
+    let e = engine.run(plan).unwrap_err();
+    assert_eq!((e.phase, e.target.as_str()), (Phase::Plan, "grep"), "{e}");
+    assert!(e.message.contains("panicked: no rows for grep"), "{e}");
+
+    let plan = ExperimentPlan::new()
+        .workloads(engine.suite().to_vec())
+        .map(|job, _| Ok(job.index));
+    assert_eq!(engine.run(plan), Ok(vec![0, 1, 2, 3]));
 }

@@ -66,7 +66,7 @@ pub use ast::{
 };
 pub use codegen::generate;
 pub use optimize::{fold, optimize, OptLevel};
-pub use parser::parse;
+pub use parser::{parse, MAX_NESTING};
 pub use token::{lex, LangError, SpannedTok, Tok};
 
 use lvp_isa::{AsmProfile, Assembler, Program};

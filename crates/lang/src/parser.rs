@@ -17,16 +17,57 @@ use crate::ast::*;
 use crate::token::{lex, LangError, SpannedTok, Tok};
 use std::collections::HashMap;
 
+/// The deepest nesting [`parse`] accepts. Each statement, each full
+/// expression (a statement's, or one inside parentheses or brackets) and
+/// each unary operand opens one level of the parser's recursion, and
+/// each operator, call, cast or index adds one to the height of the
+/// expression tree being built; the levels open plus that height may
+/// not pass this limit. That bounds both the parser's recursion and the
+/// depth of the AST the optimizer, code generation and `Drop` recurse
+/// over: `a + b + c` nests as deep as `(a + b) + c`. A program at the
+/// limit compiles on a 2 MiB thread stack, the default of the harness's
+/// worker threads.
+pub const MAX_NESTING: usize = 256;
+
+/// The binary operator `tok` spells and its precedence, 0 binding
+/// loosest: `||`, `&&`, `|`, `^`, `&`, equality, relational, shifts,
+/// additive, multiplicative. Every level is left-associative.
+fn binop(tok: &Tok) -> Option<(usize, BinOp)> {
+    Some(match tok {
+        Tok::OrOr => (0, BinOp::Or),
+        Tok::AndAnd => (1, BinOp::And),
+        Tok::Pipe => (2, BinOp::BitOr),
+        Tok::Caret => (3, BinOp::BitXor),
+        Tok::Amp => (4, BinOp::BitAnd),
+        Tok::Eq => (5, BinOp::Eq),
+        Tok::Ne => (5, BinOp::Ne),
+        Tok::Lt => (6, BinOp::Lt),
+        Tok::Le => (6, BinOp::Le),
+        Tok::Gt => (6, BinOp::Gt),
+        Tok::Ge => (6, BinOp::Ge),
+        Tok::Shl => (7, BinOp::Shl),
+        Tok::Shr => (7, BinOp::Shr),
+        Tok::Plus => (8, BinOp::Add),
+        Tok::Minus => (8, BinOp::Sub),
+        Tok::Star => (9, BinOp::Mul),
+        Tok::Slash => (9, BinOp::Div),
+        Tok::Percent => (9, BinOp::Rem),
+        _ => return None,
+    })
+}
+
 /// Parses mini-C source into an AST.
 ///
 /// # Errors
 ///
-/// Returns a [`LangError`] with the offending line for any syntax error.
+/// Returns a [`LangError`] with the offending line for any syntax error,
+/// including source nested deeper than [`MAX_NESTING`].
 pub fn parse(source: &str) -> Result<ProgramAst, LangError> {
     let toks = lex(source)?;
     Parser {
         toks,
         pos: 0,
+        depth: 0,
         consts: HashMap::new(),
     }
     .program()
@@ -35,10 +76,34 @@ pub fn parse(source: &str) -> Result<ProgramAst, LangError> {
 struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
+    /// Nesting levels open at `pos`. An error abandons the whole parse,
+    /// so only successful paths restore it.
+    depth: usize,
     consts: HashMap<String, i64>,
 }
 
 impl Parser {
+    fn too_deep(&self) -> LangError {
+        LangError::new(
+            self.line(),
+            format!("nesting deeper than {MAX_NESTING} levels"),
+        )
+    }
+
+    /// Runs `f` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Parser) -> Result<T, LangError>,
+    ) -> Result<T, LangError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let out = f(self)?;
+        self.depth -= 1;
+        Ok(out)
+    }
+
     fn peek(&self) -> Option<&Tok> {
         self.toks.get(self.pos).map(|t| &t.tok)
     }
@@ -308,6 +373,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, LangError> {
+        self.nested(Parser::stmt_inner)
+    }
+
+    fn stmt_inner(&mut self) -> Result<Stmt, LangError> {
         let line = self.line();
         match self.peek() {
             Some(Tok::KwInt | Tok::KwFloat | Tok::KwChar) => {
@@ -482,219 +551,110 @@ impl Parser {
     // ---- expressions (precedence climbing) ----
 
     fn expr(&mut self) -> Result<Expr, LangError> {
-        self.or_expr()
+        Ok(self.tree()?.0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.and_expr()?;
-        while self.peek() == Some(&Tok::OrOr) {
+    /// An expression, one nesting level deeper, and the height of its
+    /// tree.
+    fn tree(&mut self) -> Result<(Expr, usize), LangError> {
+        self.nested(|p| p.binary(0))
+    }
+
+    /// Returns `expr`, a node whose tree is `height` levels high, or the
+    /// nesting error if the levels open plus that height pass
+    /// [`MAX_NESTING`]. Every operator node goes through here, so no
+    /// expression tree taller than the limit is ever built.
+    fn node(&self, expr: Expr, height: usize) -> Result<(Expr, usize), LangError> {
+        if self.depth + height > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok((expr, height))
+    }
+
+    /// An expression whose binary operators bind at precedence
+    /// `min_level` or tighter.
+    fn binary(&mut self, min_level: usize) -> Result<(Expr, usize), LangError> {
+        let (mut lhs, mut height) = self.unary_expr()?;
+        while let Some((level, op)) = self
+            .peek()
+            .and_then(binop)
+            .filter(|&(level, _)| level >= min_level)
+        {
             let line = self.line();
             self.next()?;
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs), line);
+            let (rhs, rhs_height) = self.binary(level + 1)?;
+            let e = Expr::Binary(op, Box::new(lhs), Box::new(rhs), line);
+            (lhs, height) = self.node(e, 1 + height.max(rhs_height))?;
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn and_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.bitor_expr()?;
-        while self.peek() == Some(&Tok::AndAnd) {
-            let line = self.line();
-            self.next()?;
-            let rhs = self.bitor_expr()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs), line);
-        }
-        Ok(lhs)
-    }
-
-    fn bitor_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.bitxor_expr()?;
-        while self.peek() == Some(&Tok::Pipe) {
-            let line = self.line();
-            self.next()?;
-            let rhs = self.bitxor_expr()?;
-            lhs = Expr::Binary(BinOp::BitOr, Box::new(lhs), Box::new(rhs), line);
-        }
-        Ok(lhs)
-    }
-
-    fn bitxor_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.bitand_expr()?;
-        while self.peek() == Some(&Tok::Caret) {
-            let line = self.line();
-            self.next()?;
-            let rhs = self.bitand_expr()?;
-            lhs = Expr::Binary(BinOp::BitXor, Box::new(lhs), Box::new(rhs), line);
-        }
-        Ok(lhs)
-    }
-
-    fn bitand_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.equality_expr()?;
-        while self.peek() == Some(&Tok::Amp) {
-            let line = self.line();
-            self.next()?;
-            let rhs = self.equality_expr()?;
-            lhs = Expr::Binary(BinOp::BitAnd, Box::new(lhs), Box::new(rhs), line);
-        }
-        Ok(lhs)
-    }
-
-    fn equality_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.rel_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Eq) => BinOp::Eq,
-                Some(Tok::Ne) => BinOp::Ne,
-                _ => break,
-            };
-            let line = self.line();
-            self.next()?;
-            let rhs = self.rel_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), line);
-        }
-        Ok(lhs)
-    }
-
-    fn rel_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.shift_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Lt) => BinOp::Lt,
-                Some(Tok::Le) => BinOp::Le,
-                Some(Tok::Gt) => BinOp::Gt,
-                Some(Tok::Ge) => BinOp::Ge,
-                _ => break,
-            };
-            let line = self.line();
-            self.next()?;
-            let rhs = self.shift_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), line);
-        }
-        Ok(lhs)
-    }
-
-    fn shift_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.add_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Shl) => BinOp::Shl,
-                Some(Tok::Shr) => BinOp::Shr,
-                _ => break,
-            };
-            let line = self.line();
-            self.next()?;
-            let rhs = self.add_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), line);
-        }
-        Ok(lhs)
-    }
-
-    fn add_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Plus) => BinOp::Add,
-                Some(Tok::Minus) => BinOp::Sub,
-                _ => break,
-            };
-            let line = self.line();
-            self.next()?;
-            let rhs = self.mul_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), line);
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Star) => BinOp::Mul,
-                Some(Tok::Slash) => BinOp::Div,
-                Some(Tok::Percent) => BinOp::Rem,
-                _ => break,
-            };
-            let line = self.line();
-            self.next()?;
-            let rhs = self.unary_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), line);
-        }
-        Ok(lhs)
-    }
-
-    fn unary_expr(&mut self) -> Result<Expr, LangError> {
+    fn unary_expr(&mut self) -> Result<(Expr, usize), LangError> {
         let line = self.line();
-        match self.peek() {
-            Some(Tok::Minus) => {
-                self.next()?;
-                let e = self.unary_expr()?;
-                Ok(Expr::Unary(UnOp::Neg, Box::new(e), line))
-            }
-            Some(Tok::Bang) => {
-                self.next()?;
-                let e = self.unary_expr()?;
-                Ok(Expr::Unary(UnOp::Not, Box::new(e), line))
-            }
-            Some(Tok::Tilde) => {
-                self.next()?;
-                let e = self.unary_expr()?;
-                Ok(Expr::Unary(UnOp::BitNot, Box::new(e), line))
-            }
-            _ => self.primary_expr(),
-        }
+        let op = match self.peek() {
+            Some(Tok::Minus) => UnOp::Neg,
+            Some(Tok::Bang) => UnOp::Not,
+            Some(Tok::Tilde) => UnOp::BitNot,
+            _ => return self.primary_expr(),
+        };
+        self.next()?;
+        let (e, height) = self.nested(Parser::unary_expr)?;
+        self.node(Expr::Unary(op, Box::new(e), line), height + 1)
     }
 
-    fn primary_expr(&mut self) -> Result<Expr, LangError> {
+    fn primary_expr(&mut self) -> Result<(Expr, usize), LangError> {
         let line = self.line();
         match self.next()? {
-            Tok::Int(v) => Ok(Expr::Int(v)),
-            Tok::Float(v) => Ok(Expr::Float(v)),
+            Tok::Int(v) => Ok((Expr::Int(v), 0)),
+            Tok::Float(v) => Ok((Expr::Float(v), 0)),
             Tok::LParen => {
-                let e = self.expr()?;
+                let e = self.tree()?;
                 self.expect(&Tok::RParen)?;
                 Ok(e)
             }
             // Casts spell the type name like a call: int(e), float(e).
             Tok::KwInt => {
                 self.expect(&Tok::LParen)?;
-                let e = self.expr()?;
+                let (e, height) = self.tree()?;
                 self.expect(&Tok::RParen)?;
-                Ok(Expr::Cast(Type::Int, Box::new(e), line))
+                self.node(Expr::Cast(Type::Int, Box::new(e), line), height + 1)
             }
             Tok::KwFloat => {
                 self.expect(&Tok::LParen)?;
-                let e = self.expr()?;
+                let (e, height) = self.tree()?;
                 self.expect(&Tok::RParen)?;
-                Ok(Expr::Cast(Type::Float, Box::new(e), line))
+                self.node(Expr::Cast(Type::Float, Box::new(e), line), height + 1)
             }
             Tok::Ident(name) => match self.peek() {
                 Some(Tok::LParen) => {
                     self.next()?;
                     let mut args = Vec::new();
+                    let mut height = 0;
                     if !self.eat(&Tok::RParen) {
                         loop {
-                            args.push(self.expr()?);
+                            let (arg, arg_height) = self.tree()?;
+                            args.push(arg);
+                            height = height.max(arg_height);
                             if !self.eat(&Tok::Comma) {
                                 break;
                             }
                         }
                         self.expect(&Tok::RParen)?;
                     }
-                    Ok(Expr::Call(name, args, line))
+                    self.node(Expr::Call(name, args, line), height + 1)
                 }
                 Some(Tok::LBracket) => {
                     self.next()?;
-                    let idx = self.expr()?;
+                    let (idx, height) = self.tree()?;
                     self.expect(&Tok::RBracket)?;
-                    Ok(Expr::Index(name, Box::new(idx), line))
+                    self.node(Expr::Index(name, Box::new(idx), line), height + 1)
                 }
                 _ => {
                     // Named constants fold to literals here.
                     if let Some(&v) = self.consts.get(&name) {
-                        Ok(Expr::Int(v))
+                        Ok((Expr::Int(v), 0))
                     } else {
-                        Ok(Expr::Var(name, line))
+                        Ok((Expr::Var(name, line), 0))
                     }
                 }
             },

@@ -400,7 +400,7 @@ impl LvpUnit {
                             store_width: width,
                             entry_addr: v.addr,
                             entry_width: v.width,
-                            lvpt_index: v.lvpt_index,
+                            lvpt_index: v.source,
                         });
                     }
                 }
