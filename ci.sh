@@ -222,6 +222,17 @@ if ! printf '%s\n' "$cc_out" | grep -qF 'value-flow: PASS'; then
     echo "ci: the value-flow stride oracle was violated" >&2
     exit 1
 fi
+# PASS alone would let a change to an oracle move a cell's judged,
+# CVU-verified or under-approximation counts unseen: the 34 verdict
+# lines (16 cross-check cells, 16 value-flow cells, the two PASS lines)
+# must match the committed record byte for byte.
+echo "==> oracle verdicts vs results/check_oracles_fast.txt"
+printf '%s\n' "$cc_out" | grep -E '^[^ ]+/(toc|gp)/O[01]: [0-9]+ must-constant pc|^value-flow [^ ]+: |^(cross-check|value-flow): (PASS|FAIL)' \
+    > target/ci-smoke/check_oracles_fast.txt || true
+if ! diff -u results/check_oracles_fast.txt target/ci-smoke/check_oracles_fast.txt; then
+    echo "ci: the fast oracle matrix's verdicts differ from results/check_oracles_fast.txt" >&2
+    exit 1
+fi
 
 # Workload characterization smoke: the per-load-PC metric pass over the
 # fast subset. The Spearman rank gate is only meaningful on the full

@@ -671,7 +671,7 @@ pub fn cmd_check(target: &str, opts: &Options) -> Result<String, CliError> {
         let cross = lvp_harness::cross_check(&program, &trace, &opts.config, cell.clone());
         let vf = value_flow
             .as_ref()
-            .map(|vf| lvp_harness::value_flow_check_with(vf, &trace, cell.clone()));
+            .map(|vf| lvp_harness::value_flow_check_with(vf, &program, &trace, cell.clone()));
         (Some(cross), vf)
     } else {
         (None, None)

@@ -25,12 +25,15 @@
 //! both the points-to analysis and its pool-ownership assumption (see
 //! `lvp-analyze`'s `regions` module); CI runs exactly that matrix.
 
+use crate::slots::TextSlots;
 use lvp_analyze::{analyze_memory, Region, RegionMap};
 use lvp_isa::Program;
 use lvp_predictor::{CvuEventLog, LvpConfig, LvpUnit};
 use lvp_trace::Trace;
-use std::collections::BTreeMap;
 use std::fmt;
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 /// How a must-constant claim was contradicted dynamically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -130,8 +133,56 @@ fn overlaps(a: u64, aw: u8, b: u64, bw: u8) -> bool {
     (a as u128) < b as u128 + bw as u128 && (b as u128) < a as u128 + aw as u128
 }
 
+/// The must-constant slots sorted by data address, for the interval
+/// queries of the store sweep and the CVU invalidations.
+struct SlotsByAddr {
+    /// `(addr, width, load pc)`, sorted.
+    slots: Vec<(u64, u8, u64)>,
+    /// The widest slot: only slots starting in `(addr - widest, end)`
+    /// can overlap `[addr, end)`.
+    widest: u8,
+}
+
+impl SlotsByAddr {
+    fn new(slots: &[(u64, u64, u8)]) -> SlotsByAddr {
+        let mut by_addr: Vec<(u64, u8, u64)> =
+            slots.iter().map(|&(pc, addr, w)| (addr, w, pc)).collect();
+        by_addr.sort_unstable();
+        SlotsByAddr {
+            widest: by_addr.iter().map(|s| s.1).max().unwrap_or(0),
+            slots: by_addr,
+        }
+    }
+
+    /// The slots `[addr, addr + width)` overlaps, as `(load pc, slot
+    /// addr, slot width)`.
+    fn overlapping(&self, addr: u64, width: u8) -> impl Iterator<Item = (u64, u64, u8)> + '_ {
+        let end = addr as u128 + width as u128;
+        let lo = self
+            .slots
+            .partition_point(|&(a, _, _)| a as u128 + self.widest as u128 <= addr as u128);
+        self.slots[lo..]
+            .iter()
+            .take_while(move |&&(a, _, _)| (a as u128) < end)
+            .filter(move |&&(a, w, _)| overlaps(addr, width, a, w))
+            .map(|&(a, w, pc)| (pc, a, w))
+    }
+}
+
+/// A must-constant load's slot and the first value it loaded.
+#[derive(Debug, Clone, Copy)]
+struct Claim {
+    addr: u64,
+    first: Option<u64>,
+}
+
 /// Runs the cross-check oracle for one compiled program and its trace
 /// under `config`; `cell` labels the report (`workload/profile/opt`).
+///
+/// One walk over the trace drives all three checks: it replays every
+/// load and store through the [`LvpUnit`], looks loads up in a table
+/// indexed by instruction slot, and finds the slots a store overlaps by
+/// binary search over the slots sorted by address.
 pub fn cross_check(
     program: &Program,
     trace: &Trace,
@@ -141,31 +192,40 @@ pub fn cross_check(
     let memory = analyze_memory(program);
     let regions = RegionMap::new(program);
     let slots = memory.must_constant_slots();
+    let by_addr = SlotsByAddr::new(&slots);
     let mut violations: Vec<CrossCheckViolation> = Vec::new();
 
-    // Check 1 + 3: one pass over the trace. Stores sweep the slot
-    // intervals; loads at must-constant pcs must repeat their first
-    // observed value.
-    let by_pc: BTreeMap<u64, (u64, u8)> = slots.iter().map(|&(pc, a, w)| (pc, (a, w))).collect();
-    let mut first_value: BTreeMap<u64, u64> = BTreeMap::new();
+    // Check 1 + 3: stores sweep the slot intervals; loads at
+    // must-constant pcs must repeat their first observed value. A pc
+    // claimed twice keeps its last slot, as a map keyed by pc would.
+    let text = TextSlots::new(program);
+    let mut by_pc: Vec<Option<Claim>> = text.table(None);
+    for &(pc, addr, _) in &slots {
+        if let Some(i) = text.get(pc) {
+            by_pc[i] = Some(Claim { addr, first: None });
+        }
+    }
+    // Check 2: the LVP unit, with an event log watching exactly the
+    // must-constant slots, replays the trace in the same walk.
+    let watch: Vec<(u64, u8)> = slots.iter().map(|&(_, a, w)| (a, w)).collect();
+    let mut unit = LvpUnit::new(config.clone()).with_event_log(CvuEventLog::watching(watch));
     let mut dynamic_loads = 0u64;
     for entry in trace.iter() {
         let Some(mem) = entry.mem else { continue };
         if entry.is_load() {
-            let Some(&(addr, _)) = by_pc.get(&entry.pc) else {
+            unit.on_load(entry.pc, mem.addr, mem.width, mem.value);
+            let Some(claim) = &mut by_pc[text.index(entry.pc)] else {
                 continue;
             };
             dynamic_loads += 1;
-            match first_value.get(&entry.pc) {
-                None => {
-                    first_value.insert(entry.pc, mem.value);
-                }
-                Some(&v) if v != mem.value => {
+            match claim.first {
+                None => claim.first = Some(mem.value),
+                Some(v) if v != mem.value => {
                     violations.push(CrossCheckViolation {
                         load_pc: entry.pc,
                         kind: ViolationKind::ValueChanged,
-                        addr,
-                        region: regions.classify(addr),
+                        addr: claim.addr,
+                        region: regions.classify(claim.addr),
                         store_pc: None,
                         detail: format!("loaded {:#x} then {:#x}", v, mem.value),
                     });
@@ -173,50 +233,44 @@ pub fn cross_check(
                 Some(_) => {}
             }
         } else {
-            for &(pc, addr, width) in &slots {
-                if overlaps(mem.addr, mem.width, addr, width) {
-                    violations.push(CrossCheckViolation {
-                        load_pc: pc,
-                        kind: ViolationKind::StoreOverlap,
-                        addr,
-                        region: regions.classify(addr),
-                        store_pc: Some(entry.pc),
-                        detail: format!(
-                            "store of {} byte(s) at {:#x} hits the slot",
-                            mem.width, mem.addr
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
-    // Check 2: replay through the LVP unit with an event log watching
-    // exactly the must-constant slots.
-    let watch: Vec<(u64, u8)> = slots.iter().map(|&(_, a, w)| (a, w)).collect();
-    let mut unit = LvpUnit::new(config.clone()).with_event_log(CvuEventLog::watching(watch));
-    unit.annotate(trace);
-    let log = unit.take_events().expect("event log attached above");
-    for inv in &log.invalidations {
-        for &(pc, addr, width) in &slots {
-            if overlaps(inv.entry_addr, inv.entry_width, addr, width) {
+            unit.on_store_at(entry.pc, mem.addr, mem.width, mem.value);
+            for (pc, addr, _) in by_addr.overlapping(mem.addr, mem.width) {
                 violations.push(CrossCheckViolation {
                     load_pc: pc,
-                    kind: ViolationKind::CvuInvalidated,
+                    kind: ViolationKind::StoreOverlap,
                     addr,
                     region: regions.classify(addr),
-                    store_pc: Some(inv.store_pc),
+                    store_pc: Some(entry.pc),
                     detail: format!(
-                        "store of {} byte(s) at {:#x} destroyed the certification",
-                        inv.store_width, inv.store_addr
+                        "store of {} byte(s) at {:#x} hits the slot",
+                        mem.width, mem.addr
                     ),
                 });
             }
         }
     }
-    let cvu_verified = by_pc
-        .keys()
-        .filter_map(|pc| log.verifications.get(pc))
+
+    let log = unit.take_events().expect("event log attached above");
+    for inv in &log.invalidations {
+        for (pc, addr, _) in by_addr.overlapping(inv.entry_addr, inv.entry_width) {
+            violations.push(CrossCheckViolation {
+                load_pc: pc,
+                kind: ViolationKind::CvuInvalidated,
+                addr,
+                region: regions.classify(addr),
+                store_pc: Some(inv.store_pc),
+                detail: format!(
+                    "store of {} byte(s) at {:#x} destroyed the certification",
+                    inv.store_width, inv.store_addr
+                ),
+            });
+        }
+    }
+    let cvu_verified = log
+        .verifications
+        .iter()
+        .filter(|(&pc, _)| by_pc[text.index(pc)].is_some())
+        .map(|(_, n)| n)
         .sum();
 
     // Canonical order, duplicates (e.g. a hot store in a loop) collapsed.

@@ -4,13 +4,13 @@ use crate::engine::Engine;
 use crate::error::HarnessError;
 use crate::plan::{ExperimentPlan, MachineModel};
 use crate::report::{geo_mean, Cell, ExperimentTable, Report};
+use crate::slots::TextSlots;
 use lvp_lang::OptLevel;
 use lvp_predictor::{
     presets, BhrIndexedPredictor, ContextBackend, LocalityMeter, LvpConfig, Lvpt, StridePredictor,
 };
 use lvp_trace::OpKind;
 use lvp_uarch::{dataflow_limit, LatencyTable, Ppc620Config};
-use std::collections::HashSet;
 
 /// Ablation — LVPT size sweep: accuracy and coverage of the Simple
 /// configuration as the value table grows from 64 to 8192 entries.
@@ -223,18 +223,20 @@ pub(super) fn ablation_opt(engine: &Engine) -> Result<Report, HarnessError> {
         .map(|job, ctx| {
             let run = ctx.job_run(job)?;
             let mut meter = LocalityMeter::paper_default();
-            let mut load_pcs = HashSet::new();
+            // Every pc of the program's own trace lies in its text, so
+            // the overflow slot stays unset.
+            let text = TextSlots::new(&run.program);
+            let mut seen = text.table(false);
+            let mut load_pcs = 0usize;
             for e in &run.trace {
                 meter.observe(&e);
                 if e.is_load() {
-                    load_pcs.insert(e.pc);
+                    let slot = &mut seen[text.index(e.pc)];
+                    load_pcs += usize::from(!*slot);
+                    *slot = true;
                 }
             }
-            Ok((
-                run.trace.stats().instructions,
-                load_pcs.len(),
-                meter.locality(1),
-            ))
+            Ok((run.trace.stats().instructions, load_pcs, meter.locality(1)))
         });
     let results = engine.run(plan)?;
 
@@ -658,25 +660,35 @@ pub(super) fn ablation_predictor(engine: &Engine) -> Result<Report, HarnessError
             })
             .map(|d| d.pc)
             .collect();
+        let anns = scored
+            .iter()
+            .map(|&k| {
+                let cfg = presets::simple().builder().kind(k).build();
+                ctx.annotation(w, lvp_isa::AsmProfile::Toc, OptLevel::O0, &cfg)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        // One walk scores all three annotations; the claimed pcs are
+        // flags in a table indexed by instruction slot.
+        let text = TextSlots::new(&run.program);
+        let mut claimed = text.table(false);
+        for &pc in &affine {
+            if let Some(i) = text.get(pc) {
+                claimed[i] = true;
+            }
+        }
         let mut affine_loads = 0u64;
         let mut correct = [0u64; 3];
-        for (si, &k) in scored.iter().enumerate() {
-            let cfg = presets::simple().builder().kind(k).build();
-            let ann = ctx.annotation(w, lvp_isa::AsmProfile::Toc, OptLevel::O0, &cfg)?;
-            let mut li = 0usize;
-            let mut loads_here = 0u64;
-            for e in run.trace.iter() {
-                if e.kind == OpKind::Load {
-                    if affine.contains(&e.pc) {
-                        loads_here += 1;
-                        if ann.outcomes[li].usable() {
-                            correct[si] += 1;
-                        }
+        let mut li = 0usize;
+        for e in run.trace.iter() {
+            if e.kind == OpKind::Load {
+                if claimed[text.index(e.pc)] {
+                    affine_loads += 1;
+                    for (c, ann) in correct.iter_mut().zip(&anns) {
+                        *c += u64::from(ann.outcomes[li].usable());
                     }
-                    li += 1;
                 }
+                li += 1;
             }
-            affine_loads = loads_here;
         }
         for (si, c) in correct.iter().enumerate() {
             totals[si] += c;

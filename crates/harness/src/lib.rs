@@ -44,12 +44,15 @@
 
 pub mod cache;
 pub mod crosscheck;
+#[cfg(test)]
+mod differential;
 pub mod engine;
 pub mod error;
 pub mod experiments;
 pub mod perf;
 pub mod plan;
 pub mod report;
+mod slots;
 pub mod valueflow;
 
 pub use cache::{Annotation, EngineStats};

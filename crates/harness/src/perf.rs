@@ -403,6 +403,30 @@ fn bench_annotate_real(cfg: &PerfConfig, config: LvpConfig) -> Vec<u64> {
     sample(cfg, || LvpUnit::new(config.clone()).annotate(&trace))
 }
 
+/// The value-flow check's dynamic side ([`value_flow_check_with`], the
+/// static report computed once outside the samples) over the real
+/// xlisp trace.
+///
+/// [`value_flow_check_with`]: crate::value_flow_check_with
+fn bench_valueflow_real(cfg: &PerfConfig) -> Vec<u64> {
+    let program = trace_bench_program(lvp_isa::AsmProfile::Toc);
+    let trace = real_trace(lvp_isa::AsmProfile::Toc);
+    let report = lvp_analyze::analyze_value_flow(&program);
+    sample(cfg, || {
+        crate::value_flow_check_with(&report, &program, &trace, "xlisp/toc/O0".into())
+    })
+}
+
+/// The CVU cross-check ([`cross_check`](crate::cross_check), Simple
+/// preset) over the real xlisp trace.
+fn bench_crosscheck_real(cfg: &PerfConfig) -> Vec<u64> {
+    let program = trace_bench_program(lvp_isa::AsmProfile::Toc);
+    let trace = real_trace(lvp_isa::AsmProfile::Toc);
+    sample(cfg, || {
+        crate::cross_check(&program, &trace, &presets::simple(), "xlisp/toc/O0".into())
+    })
+}
+
 /// `simulate_620` over the real xlisp trace with Simple-preset outcomes.
 fn bench_sim_620_real(cfg: &PerfConfig, config: Ppc620Config) -> Vec<u64> {
     let trace = real_trace(lvp_isa::AsmProfile::Toc);
@@ -546,6 +570,18 @@ pub fn benches() -> &'static [BenchDef] {
             fast: true,
             what: "LvpUnit::annotate (Limit preset, 128-entry CVU) over the real xlisp trace",
             run: |cfg| bench_annotate_real(cfg, presets::limit()),
+        },
+        BenchDef {
+            name: "valueflow_real_xlisp",
+            fast: true,
+            what: "value-flow check (stride, constant, backend and LCT oracles) over the real xlisp trace",
+            run: |cfg| bench_valueflow_real(cfg),
+        },
+        BenchDef {
+            name: "crosscheck_real_xlisp",
+            fast: true,
+            what: "CVU cross-check (Simple preset) over the real xlisp trace",
+            run: |cfg| bench_crosscheck_real(cfg),
         },
         BenchDef {
             name: "sim_620_256k",

@@ -46,6 +46,7 @@
 //!
 //! [`BackendMiss`]: ValueFlowViolationKind::BackendMiss
 
+use crate::slots::TextSlots;
 use lvp_analyze::{
     analyze_value_flow, lvp014_diagnostics, Diagnostic, LintCode, LoadPredictability,
     ValueFlowReport, VfLoad,
@@ -58,6 +59,9 @@ use lvp_predictor::{
 use lvp_trace::{OpKind, Trace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 /// Minimum dynamic executions of a pc before its claim is judged.
 pub const MIN_EXECUTIONS: u64 = 8;
@@ -262,81 +266,168 @@ pub fn static_hints(report: &ValueFlowReport) -> HintTable {
     )
 }
 
-/// Replays every load of `trace` through one shared [`StridePredictor`]
-/// table, predicting before training, and splits the tallies per load
-/// pc — aliasing between pcs shows up exactly as it would in hardware,
-/// only the bookkeeping is per pc.
-fn eval_stride_by_pc(trace: &Trace) -> BTreeMap<u64, PredEval> {
-    let mut stride = StridePredictor::new(TABLE_ENTRIES);
-    let mut by_pc: BTreeMap<u64, PredEval> = BTreeMap::new();
-    for e in trace.iter() {
-        if !e.is_load() {
-            continue;
-        }
-        let Some(mem) = e.mem else { continue };
-        let eval = by_pc.entry(e.pc).or_default();
-        eval.loads += 1;
-        if let Some(p) = stride.predict(e.pc) {
-            eval.predicted += 1;
-            if p == mem.value {
-                eval.correct += 1;
-            }
-        }
-        stride.train(e.pc, mem.value);
-    }
-    by_pc
+/// Per-pc state of the value-flow walk, one per instruction slot.
+#[derive(Debug, Clone, Copy, Default)]
+struct PcState {
+    /// The shared stride table's tallies at this pc.
+    stride: PredEval,
+    /// Whether the pc carries a must-constant claim.
+    must_constant: bool,
+    /// The first value a must-constant pc loaded.
+    first: Option<u64>,
+    /// The value the pc loaded last: the emulated LCT's verification.
+    last: Option<u64>,
 }
 
-/// Replays `trace` through one predictor backend (stores feed
-/// [`Backend::on_store`], loads predict-then-train) and splits the
-/// prediction tallies per load pc.
-fn eval_backend_by_pc(kind: PredictorKind, trace: &Trace) -> BTreeMap<u64, PredEval> {
-    let cfg = presets::simple()
-        .builder()
-        .kind(kind)
-        .lvpt_entries(TABLE_ENTRIES)
-        .build();
-    let mut backend = Backend::new(&cfg);
-    let mut by_pc: BTreeMap<u64, PredEval> = BTreeMap::new();
-    for e in trace.iter() {
-        let Some(mem) = e.mem else { continue };
-        if e.kind == OpKind::Store {
-            backend.on_store(mem.addr, mem.width, mem.value);
-            continue;
-        }
-        if !e.is_load() {
-            continue;
-        }
-        let eval = by_pc.entry(e.pc).or_default();
-        eval.loads += 1;
-        if let Some(p) = backend.predict(e.pc, mem.addr) {
-            eval.predicted += 1;
-            if p == mem.value {
-                eval.correct += 1;
+/// Tallies one load's prediction against the value it loaded.
+#[inline]
+fn tally(eval: &mut PredEval, prediction: Option<u64>, value: u64) {
+    eval.loads += 1;
+    if let Some(p) = prediction {
+        eval.predicted += 1;
+        eval.correct += u64::from(p == value);
+    }
+}
+
+/// The dynamic side of the check: one walk over the trace, per-pc state
+/// in a table indexed by instruction slot ([`TextSlots`]).
+struct Walk {
+    slots: TextSlots,
+    pcs: Vec<PcState>,
+    /// The nominated backends, in [`PredictorKind`] order.
+    kinds: Vec<PredictorKind>,
+    /// Backend tallies, `kinds.len()` per slot.
+    backend_evals: Vec<PredEval>,
+    /// `ConstantValueChanged` violations, in trace order.
+    changed: Vec<ValueFlowViolation>,
+    /// The emulated last-value LCT, trained on every load.
+    lct: Lct,
+}
+
+impl Walk {
+    /// Walks `trace` once. Every load, the overflow slot's included,
+    /// predicts then trains the shared [`StridePredictor`], each
+    /// nominated backend and the LCT, so aliasing between pcs in those
+    /// tables is exactly the hardware's; only the tallies are per slot.
+    /// Stores feed the backends ([`Backend::on_store`]).
+    fn run(program: &Program, trace: &Trace, constants: &[u64], kinds: Vec<PredictorKind>) -> Walk {
+        let slots = TextSlots::new(program);
+        let mut pcs = slots.table(PcState::default());
+        for &pc in constants {
+            if let Some(i) = slots.get(pc) {
+                pcs[i].must_constant = true;
             }
         }
-        backend.train(e.pc, mem.addr, mem.value);
+        let mut stride = StridePredictor::new(TABLE_ENTRIES);
+        let mut backends: Vec<Backend> = kinds
+            .iter()
+            .map(|&kind| {
+                Backend::new(
+                    &presets::simple()
+                        .builder()
+                        .kind(kind)
+                        .lvpt_entries(TABLE_ENTRIES)
+                        .build(),
+                )
+            })
+            .collect();
+        let n = backends.len();
+        let mut backend_evals = vec![PredEval::default(); pcs.len() * n];
+        let mut changed = Vec::new();
+        let mut lct = Lct::new(LctConfig {
+            entries: TABLE_ENTRIES,
+            counter_bits: 2,
+        });
+        // The overflow slot lumps pcs together, but the LCT's
+        // verification is per pc: out-of-text pcs keep their own.
+        let mut stray_last: BTreeMap<u64, u64> = BTreeMap::new();
+        let overflow = pcs.len() - 1;
+        for e in trace.iter() {
+            let Some(mem) = e.mem else { continue };
+            let (pc, value) = (e.pc, mem.value);
+            match e.kind {
+                OpKind::Load => {}
+                OpKind::Store => {
+                    for b in &mut backends {
+                        b.on_store(mem.addr, mem.width, value);
+                    }
+                    continue;
+                }
+                _ => continue,
+            }
+            let i = slots.index(pc);
+            let st = &mut pcs[i];
+            tally(&mut st.stride, stride.predict(pc), value);
+            stride.train(pc, value);
+            if st.must_constant {
+                match st.first {
+                    None => st.first = Some(value),
+                    Some(first) if first != value => changed.push(ValueFlowViolation {
+                        pc,
+                        class: LoadPredictability::MustConstant,
+                        kind: ValueFlowViolationKind::ConstantValueChanged {
+                            first,
+                            later: value,
+                        },
+                    }),
+                    Some(_) => {}
+                }
+            }
+            let previous = if i == overflow {
+                stray_last.insert(pc, value)
+            } else {
+                st.last.replace(value)
+            };
+            lct.update(pc, previous == Some(value));
+            for (b, eval) in backends.iter_mut().zip(&mut backend_evals[i * n..]) {
+                tally(eval, b.predict(pc, mem.addr), value);
+                b.train(pc, mem.addr, value);
+            }
+        }
+        Walk {
+            slots,
+            pcs,
+            kinds,
+            backend_evals,
+            changed,
+            lct,
+        }
     }
-    by_pc
+
+    /// The stride tallies of a claimed pc; `None` if no load ran there.
+    fn stride(&self, pc: u64) -> Option<PredEval> {
+        let eval = self.pcs[self.slots.get(pc)?].stride;
+        (eval.loads > 0).then_some(eval)
+    }
+
+    /// The tallies of the `k`-th nominated backend at a claimed pc.
+    fn backend(&self, k: usize, pc: u64) -> Option<PredEval> {
+        let eval = self.backend_evals[self.slots.get(pc)? * self.kinds.len() + k];
+        (eval.loads > 0).then_some(eval)
+    }
 }
 
 /// Runs the value-flow cross-check for one compiled program and its
 /// trace; `cell` labels the report (`workload/profile/opt`).
 pub fn value_flow_check(program: &Program, trace: &Trace, cell: String) -> ValueFlowCheckReport {
     let report = analyze_value_flow(program);
-    value_flow_check_with(&report, trace, cell)
+    value_flow_check_with(&report, program, trace, cell)
 }
 
-/// [`value_flow_check`] over an already-computed static report (the CLI
-/// computes the report once for its lint output and reuses it here).
+/// [`value_flow_check`] over an already-computed static report of
+/// `program` (the CLI computes the report once for its lint output and
+/// reuses it here).
+///
+/// One walk over the trace feeds every consumer; the claims are then
+/// judged from a table indexed by instruction slot. A claim at a pc
+/// outside `program`'s text is never judged: the program runs no load
+/// there.
 pub fn value_flow_check_with(
     report: &ValueFlowReport,
+    program: &Program,
     trace: &Trace,
     cell: String,
 ) -> ValueFlowCheckReport {
-    // --- Dynamic stride tallies per pc (shared table, per-pc split). ---
-    let by_pc = eval_stride_by_pc(trace);
-
     // --- The claims under trial. ---
     let affine: BTreeMap<u64, i64> = report.affine_claims().into_iter().collect();
     let constants: Vec<u64> = report
@@ -345,70 +436,6 @@ pub fn value_flow_check_with(
         .filter(|l| l.class == LoadPredictability::MustConstant)
         .map(|l| l.pc)
         .collect();
-
-    let mut judged = 0usize;
-    let mut violations = Vec::new();
-    for (&pc, &claimed_stride) in &affine {
-        let Some(eval) = by_pc.get(&pc) else { continue };
-        if eval.loads < MIN_EXECUTIONS {
-            continue;
-        }
-        judged += 1;
-        if eval.accuracy() < STRIDE_ACCURACY_FLOOR {
-            violations.push(ValueFlowViolation {
-                pc,
-                class: LoadPredictability::AffineStride(claimed_stride),
-                kind: ValueFlowViolationKind::StrideMiss {
-                    claimed_stride,
-                    eval: *eval,
-                },
-            });
-        }
-    }
-
-    // Must-constant: value stability (exact), plus the stride predictor
-    // treating it as stride zero once warm.
-    let constant_set: BTreeSet<u64> = constants.iter().copied().collect();
-    let mut first_value: BTreeMap<u64, u64> = BTreeMap::new();
-    for entry in trace.iter() {
-        if !entry.is_load() || !constant_set.contains(&entry.pc) {
-            continue;
-        }
-        let Some(mem) = entry.mem else { continue };
-        match first_value.get(&entry.pc) {
-            None => {
-                first_value.insert(entry.pc, mem.value);
-            }
-            Some(&v) if v != mem.value => violations.push(ValueFlowViolation {
-                pc: entry.pc,
-                class: LoadPredictability::MustConstant,
-                kind: ValueFlowViolationKind::ConstantValueChanged {
-                    first: v,
-                    later: mem.value,
-                },
-            }),
-            Some(_) => {}
-        }
-    }
-    for &pc in &constants {
-        let Some(eval) = by_pc.get(&pc) else { continue };
-        if eval.loads < MIN_EXECUTIONS {
-            continue;
-        }
-        judged += 1;
-        if eval.accuracy() < STRIDE_ACCURACY_FLOOR {
-            violations.push(ValueFlowViolation {
-                pc,
-                class: LoadPredictability::MustConstant,
-                kind: ValueFlowViolationKind::StrideMiss {
-                    claimed_stride: 0,
-                    eval: *eval,
-                },
-            });
-        }
-    }
-
-    // --- Per-kind oracle: each class judged by its nominated backend. ---
     let mut claims_by_kind: BTreeMap<PredictorKind, Vec<(u64, LoadPredictability)>> =
         BTreeMap::new();
     for l in &report.loads {
@@ -419,11 +446,64 @@ pub fn value_flow_check_with(
                 .push((l.pc, l.class));
         }
     }
+
+    let walk = Walk::run(
+        program,
+        trace,
+        &constants,
+        claims_by_kind.keys().copied().collect(),
+    );
+
+    let mut judged = 0usize;
+    let mut violations = Vec::new();
+    for (&pc, &claimed_stride) in &affine {
+        let Some(eval) = walk.stride(pc) else {
+            continue;
+        };
+        if eval.loads < MIN_EXECUTIONS {
+            continue;
+        }
+        judged += 1;
+        if eval.accuracy() < STRIDE_ACCURACY_FLOOR {
+            violations.push(ValueFlowViolation {
+                pc,
+                class: LoadPredictability::AffineStride(claimed_stride),
+                kind: ValueFlowViolationKind::StrideMiss {
+                    claimed_stride,
+                    eval,
+                },
+            });
+        }
+    }
+
+    // Must-constant: value stability (exact), plus the stride predictor
+    // treating it as stride zero once warm.
+    violations.extend(walk.changed.iter().cloned());
+    for &pc in &constants {
+        let Some(eval) = walk.stride(pc) else {
+            continue;
+        };
+        if eval.loads < MIN_EXECUTIONS {
+            continue;
+        }
+        judged += 1;
+        if eval.accuracy() < STRIDE_ACCURACY_FLOOR {
+            violations.push(ValueFlowViolation {
+                pc,
+                class: LoadPredictability::MustConstant,
+                kind: ValueFlowViolationKind::StrideMiss {
+                    claimed_stride: 0,
+                    eval,
+                },
+            });
+        }
+    }
+
+    // --- Per-kind oracle: each class judged by its nominated backend. ---
     let mut hint_contradictions = Vec::new();
-    for (kind, claims) in &claims_by_kind {
-        let backend_by_pc = eval_backend_by_pc(*kind, trace);
+    for (k, (kind, claims)) in claims_by_kind.iter().enumerate() {
         for &(pc, class) in claims {
-            let Some(eval) = backend_by_pc.get(&pc) else {
+            let Some(eval) = walk.backend(k, pc) else {
                 continue;
             };
             if eval.loads < MIN_EXECUTIONS {
@@ -437,10 +517,7 @@ pub fn value_flow_check_with(
                 violations.push(ValueFlowViolation {
                     pc,
                     class,
-                    kind: ValueFlowViolationKind::BackendMiss {
-                        kind: *kind,
-                        eval: *eval,
-                    },
+                    kind: ValueFlowViolationKind::BackendMiss { kind: *kind, eval },
                 });
                 // The static hint for this pc nominates the same backend
                 // the oracle just refuted: report the contradiction.
@@ -463,28 +540,18 @@ pub fn value_flow_check_with(
     }
 
     // --- Reverse direction: LVP014 under-approximation report. ---
-    // Train an emulated last-value LCT exactly as the LVP unit would
-    // (correct = the value repeated), then ask which statically-unknown
+    // The emulated last-value LCT was trained exactly as the LVP unit
+    // would (correct = the value repeated); ask which statically-unknown
     // pcs it nevertheless learned.
-    let mut lct = Lct::new(LctConfig {
-        entries: TABLE_ENTRIES,
-        counter_bits: 2,
-    });
-    let mut last_value: BTreeMap<u64, u64> = BTreeMap::new();
-    for entry in trace.iter() {
-        if !entry.is_load() {
-            continue;
-        }
-        let Some(mem) = entry.mem else { continue };
-        let correct = last_value.insert(entry.pc, mem.value) == Some(mem.value);
-        lct.update(entry.pc, correct);
-    }
-    let predictable: BTreeSet<u64> = by_pc
+    let predictable: BTreeSet<u64> = report
+        .loads
         .iter()
-        .filter(|(&pc, eval)| {
-            eval.loads >= MIN_EXECUTIONS && lct.classify(pc) != LoadClass::DontPredict
+        .map(|l| l.pc)
+        .filter(|&pc| {
+            walk.stride(pc).is_some_and(|eval| {
+                eval.loads >= MIN_EXECUTIONS && walk.lct.classify(pc) != LoadClass::DontPredict
+            })
         })
-        .map(|(&pc, _)| pc)
         .collect();
     let under_approximations = lvp014_diagnostics(report, &predictable);
 
@@ -519,9 +586,12 @@ mod tests {
     #[test]
     fn per_pc_stride_tallies_split_one_shared_table() {
         // Interleave a strided load at one pc with a constant load at
-        // another; the per-pc tallies must separate them and sum to the
-        // tallies of one aggregate replay.
+        // another, and send a third pc outside the text; the per-slot
+        // tallies must separate the text pcs, and every load (the
+        // out-of-text ones too) must go through the one shared table, so
+        // the tallies sum to those of one aggregate replay.
         use lvp_trace::{MemAccess, TraceEntry};
+        let (p, _) = run(&format!("main:\n{} halt\n", " nop\n".repeat(20)));
         let load = |pc: u64, value: u64| {
             let mut e = TraceEntry::simple(pc, OpKind::Load);
             e.mem = Some(MemAccess {
@@ -532,15 +602,21 @@ mod tests {
             });
             e
         };
+        let stray = 0x10000 - 64;
         let t: Trace = (0..50u64)
-            .flat_map(|i| [load(0x10000, 8 * i), load(0x10040, 7)])
+            .flat_map(|i| [load(0x10000, 8 * i), load(0x10040, 7), load(stray, 3 * i)])
             .collect();
-        let by_pc = eval_stride_by_pc(&t);
-        assert_eq!(by_pc.len(), 2);
-        assert_eq!(by_pc[&0x10000].loads, 50);
-        assert_eq!(by_pc[&0x10040].loads, 50);
-        assert!(by_pc[&0x10000].hit_rate() > 0.9);
-        assert!(by_pc[&0x10040].hit_rate() > 0.9);
+        let walk = Walk::run(&p, &t, &[], Vec::new());
+        let in_text: Vec<&PcState> = walk.pcs[..p.text().len()]
+            .iter()
+            .filter(|s| s.stride.loads > 0)
+            .collect();
+        assert_eq!(in_text.len(), 2);
+        assert_eq!(walk.stride(0x10000).unwrap().loads, 50);
+        assert_eq!(walk.stride(0x10040).unwrap().loads, 50);
+        assert!(walk.stride(0x10000).unwrap().hit_rate() > 0.9);
+        assert!(walk.stride(0x10040).unwrap().hit_rate() > 0.9);
+        assert_eq!(walk.stride(stray), None, "no claim reads the overflow slot");
         let mut aggregate = StridePredictor::new(TABLE_ENTRIES);
         let mut correct = 0;
         for e in t.iter() {
@@ -548,7 +624,10 @@ mod tests {
             correct += (aggregate.predict(e.pc) == Some(value)) as u64;
             aggregate.train(e.pc, value);
         }
-        assert_eq!(by_pc.values().map(|e| e.correct).sum::<u64>(), correct);
+        assert_eq!(
+            walk.pcs.iter().map(|s| s.stride.correct).sum::<u64>(),
+            correct
+        );
     }
 
     /// A global counter bumped by a constant each iteration: the memory
@@ -612,7 +691,7 @@ mod tests {
                 l.class = LoadPredictability::AffineStride(8);
             }
         }
-        let r = value_flow_check_with(&report, &t, "tampered/gp/O0".into());
+        let r = value_flow_check_with(&report, &p, &t, "tampered/gp/O0".into());
         assert!(!r.passed(), "a fabricated stride claim must be refuted");
         assert!(r.violations.iter().any(|v| matches!(
             v.kind,
@@ -667,7 +746,7 @@ mod tests {
                 l.class = LoadPredictability::AffineStride(8);
             }
         }
-        let r = value_flow_check_with(&report, &t, "tampered/gp/O0".into());
+        let r = value_flow_check_with(&report, &p, &t, "tampered/gp/O0".into());
         assert!(r.violations.iter().any(|v| matches!(
             v.kind,
             ValueFlowViolationKind::BackendMiss {
@@ -767,7 +846,7 @@ mod tests {
                 l.class = LoadPredictability::AffineStride(8);
             }
         }
-        let r = value_flow_check_with(&report, &t, "tampered/gp/O0".into());
+        let r = value_flow_check_with(&report, &p, &t, "tampered/gp/O0".into());
         assert!(!r.passed());
         let d = r
             .hint_contradictions

@@ -292,13 +292,20 @@ impl Characterizer {
         };
         let (mut fed, mut feed_sum, mut stable_loads) = (0u64, 0u64, 0u64);
         let (mut repeat_hits, mut stride_hits) = (0u64, 0u64);
-        for (&pc, st) in &self.per_pc {
+        // Floating-point sums depend on their order, and a `HashMap`'s
+        // order on its random seed: accumulate over pcs ascending, and
+        // each histogram over values ascending.
+        let mut per_pc: Vec<(&u64, &PcState)> = self.per_pc.iter().collect();
+        per_pc.sort_unstable_by_key(|&(&pc, _)| pc);
+        for (&pc, st) in per_pc {
             let n = st.count;
             let nf = n as f64;
             let distinct = st.hist.len() as u64 + st.overflow;
             let mut entropy = 0.0f64;
             let mut simpson = 0.0f64;
-            for &c in st.hist.values() {
+            let mut hist: Vec<(&u64, &u64)> = st.hist.iter().collect();
+            hist.sort_unstable_by_key(|&(&value, _)| value);
+            for (_, &c) in hist {
                 let p = c as f64 / nf;
                 entropy -= p * p.log2();
                 simpson += p * p;
@@ -483,6 +490,71 @@ mod tests {
         assert_eq!(r.summary.load_pcs, 2);
         assert!(r.summary.score > 0.5);
         assert_eq!(r.pcs[0].pc, 0x1000, "heaviest pc first");
+    }
+
+    /// Every `f64` of a characterization, as bits.
+    fn float_bits(c: &Characterization) -> Vec<u64> {
+        let s = &c.summary;
+        let mut bits: Vec<u64> = [
+            s.entropy_bits,
+            s.mean_working_set,
+            s.repeat_rate,
+            s.stride_coverage,
+            s.simpson,
+            s.fed_fraction,
+            s.mean_feed_distance,
+            s.class_stability,
+            s.score,
+        ]
+        .iter()
+        .map(|x| x.to_bits())
+        .collect();
+        for p in &c.pcs {
+            bits.extend(
+                [
+                    p.entropy_bits,
+                    p.repeat_rate,
+                    p.stride_coverage,
+                    p.simpson,
+                    p.fed_fraction,
+                    p.mean_feed_distance,
+                    p.score,
+                ]
+                .iter()
+                .map(|x| x.to_bits()),
+            );
+        }
+        bits
+    }
+
+    #[test]
+    fn characterizing_twice_gives_identical_bits() {
+        // Hundreds of distinct values per pc at skewed counts: summed in
+        // different orders, the entropy and Simpson sums round
+        // differently, so each sum's order must not come from a hash
+        // map's random seed.
+        let mut rng = lvp_trace::rng::Lcg::new(11);
+        let entries: Vec<_> = (0..20_000u64)
+            .map(|i| {
+                let spread = 1 + rng.below(700);
+                load(
+                    0x1000 + 4 * (i % 13),
+                    0x10_0000 + 8 * (i % 97),
+                    rng.below(spread),
+                )
+            })
+            .collect();
+        let mut t = Trace::new();
+        for e in &entries {
+            t.push(*e);
+        }
+        let first = Characterizer::from_trace(&t);
+        for _ in 0..4 {
+            assert_eq!(
+                float_bits(&Characterizer::from_trace(&t)),
+                float_bits(&first)
+            );
+        }
     }
 
     #[test]

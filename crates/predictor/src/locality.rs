@@ -1,7 +1,6 @@
 //! Value-locality measurement (paper Section 2, Figures 1 and 2).
 
 use lvp_trace::TraceEntry;
-use std::collections::HashMap;
 use std::ops::Range;
 
 /// Classification of a loaded *value* for the paper's Figure 2 breakdown.
@@ -63,13 +62,6 @@ impl AddressRanges {
     }
 }
 
-/// Per-(class, depth) hit counters.
-#[derive(Debug, Clone, Default)]
-struct ClassCounters {
-    loads: u64,
-    hits: Vec<u64>, // parallel to `depths`
-}
-
 /// Measures load value locality exactly as the paper's Figure 1: a
 /// direct-mapped table of value histories "with 1K entries indexed but not
 /// tagged by instruction address", LRU-replaced, reporting the fraction of
@@ -104,7 +96,10 @@ pub struct LocalityMeter {
     max_depth: usize,
     loads: u64,
     hits: Vec<u64>,
-    per_class: HashMap<ValueClass, ClassCounters>,
+    /// Loads per [`ValueClass`], indexed by `class as usize`.
+    class_loads: [u64; ValueClass::ALL.len()],
+    /// Hits per class and depth, `depths.len()` per class.
+    class_hits: Vec<u64>,
     ranges: Option<AddressRanges>,
 }
 
@@ -139,7 +134,8 @@ impl LocalityMeter {
             max_depth,
             loads: 0,
             hits: vec![0; depths.len()],
-            per_class: HashMap::new(),
+            class_loads: [0; ValueClass::ALL.len()],
+            class_hits: vec![0; ValueClass::ALL.len() * depths.len()],
             ranges: None,
         }
     }
@@ -186,20 +182,13 @@ impl LocalityMeter {
                 None => ValueClass::IntData,
             }
         };
+        self.class_loads[class as usize] += 1;
         let n_depths = self.depths.len();
-        let counters = self
-            .per_class
-            .entry(class)
-            .or_insert_with(|| ClassCounters {
-                loads: 0,
-                hits: vec![0; n_depths],
-            });
-        counters.loads += 1;
-
+        let class_hits = &mut self.class_hits[class as usize * n_depths..][..n_depths];
         for (i, &d) in self.depths.iter().enumerate() {
             if rank.is_some_and(|r| r < d) {
                 self.hits[i] += 1;
-                counters.hits[i] += 1;
+                class_hits[i] += 1;
             }
         }
 
@@ -243,15 +232,15 @@ impl LocalityMeter {
     /// Panics if `depth` was not configured.
     pub fn class_locality(&self, class: ValueClass, depth: usize) -> f64 {
         let i = self.depth_index(depth);
-        match self.per_class.get(&class) {
-            Some(c) if c.loads > 0 => c.hits[i] as f64 / c.loads as f64,
-            _ => 0.0,
+        match self.class_loads(class) {
+            0 => 0.0,
+            loads => self.class_hits[class as usize * self.depths.len() + i] as f64 / loads as f64,
         }
     }
 
     /// Dynamic loads observed in one class.
     pub fn class_loads(&self, class: ValueClass) -> u64 {
-        self.per_class.get(&class).map_or(0, |c| c.loads)
+        self.class_loads[class as usize]
     }
 }
 

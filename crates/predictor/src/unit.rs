@@ -3,6 +3,7 @@
 use crate::config::LvpConfig;
 use crate::cvu::Cvu;
 use crate::hints::HintTable;
+use crate::index::word_index;
 use crate::lct::{Lct, LoadClass};
 use crate::predictor::Backend;
 use lvp_trace::{PredOutcome, Trace};
@@ -206,7 +207,15 @@ pub struct LvpUnit {
     /// cold verification that would otherwise erase the LCT seed is
     /// treated as neutral for these.
     pending_hints: BTreeSet<u64>,
+    /// How many of `pending_hints` fall in each bucket of a
+    /// direct-mapped filter indexed by `word_index(pc)` (empty until
+    /// hints are applied): a load whose bucket count is zero is not
+    /// pending, without a search.
+    pending_buckets: Vec<u32>,
 }
+
+/// Buckets of [`LvpUnit`]'s pending-hint filter.
+const HINT_BUCKETS: usize = 4096;
 
 impl LvpUnit {
     /// Creates an LVP unit in its cold state.
@@ -218,6 +227,7 @@ impl LvpUnit {
             stats: LvpStats::default(),
             events: None,
             pending_hints: BTreeSet::new(),
+            pending_buckets: Vec::new(),
             config,
         }
     }
@@ -231,11 +241,29 @@ impl LvpUnit {
         if self.config.perfect {
             return;
         }
+        if self.pending_buckets.is_empty() {
+            self.pending_buckets = vec![0; HINT_BUCKETS];
+        }
         for h in hints.iter() {
             self.lct.seed(h.pc, h.confidence);
             self.backend.seed_hint(h.pc, h.kind, h.confidence);
-            self.pending_hints.insert(h.pc);
+            if self.pending_hints.insert(h.pc) {
+                self.pending_buckets[word_index(h.pc, HINT_BUCKETS - 1)] += 1;
+            }
         }
+    }
+
+    /// Whether this is the first execution of a hinted pc (and if so,
+    /// disarms it). Out of line: `on_load` only calls it while some
+    /// hinted pc is pending.
+    #[inline(never)]
+    fn take_pending_hint(&mut self, pc: u64) -> bool {
+        let bucket = &mut self.pending_buckets[word_index(pc, HINT_BUCKETS - 1)];
+        if *bucket == 0 || !self.pending_hints.remove(&pc) {
+            return false;
+        }
+        *bucket -= 1;
+        true
     }
 
     /// Attaches a [`CvuEventLog`]; subsequent loads and stores record
@@ -368,7 +396,7 @@ impl LvpUnit {
         // stale. A hinted pc's first-ever (necessarily cold) incorrect
         // verification is neutral, so the static seed survives to its
         // first real chance.
-        let first_hinted = !self.pending_hints.is_empty() && self.pending_hints.remove(&pc);
+        let first_hinted = !self.pending_hints.is_empty() && self.take_pending_hint(pc);
         if would_be_correct || !first_hinted {
             self.lct.update(pc, would_be_correct);
         }
