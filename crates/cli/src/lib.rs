@@ -169,15 +169,6 @@ pub struct Options {
     pub bench: Vec<String>,
     /// Emit the `perf` report as `lvp-perf/1` JSON.
     pub json: bool,
-    /// Baseline file for `perf --check` (`None` = default
-    /// `results/perf_baseline.json`).
-    pub baseline: Option<String>,
-    /// Compare the `perf` report against the baseline and fail on
-    /// regressions.
-    pub check: bool,
-    /// Regression threshold for `perf --check`, in percent over the
-    /// baseline median.
-    pub threshold: u64,
     /// List the `perf` bench registry or the `synth` profiles instead of
     /// running anything.
     pub list: bool,
@@ -227,9 +218,6 @@ impl Default for Options {
             out: None,
             bench: Vec::new(),
             json: false,
-            baseline: None,
-            check: false,
-            threshold: 10,
             list: false,
             synth_profile: None,
             seed: 1,
@@ -340,14 +328,7 @@ pub fn parse_options(cmd: &str, args: &[String]) -> Result<(Options, Vec<String>
             }
             "--out" => opts.out = Some(take_value(&mut i)?),
             "--bench" => opts.bench.push(take_value(&mut i)?),
-            "--baseline" => opts.baseline = Some(take_value(&mut i)?),
-            "--threshold" => {
-                opts.threshold = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| CliError::new("--threshold requires a percentage"))?;
-            }
             "--json" => opts.json = true,
-            "--check" => opts.check = true,
             "--list" => opts.list = true,
             "--verify" => opts.verify = true,
             "--lint" => opts.lint = true,
@@ -1456,17 +1437,12 @@ pub fn cmd_synth(opts: &Options) -> Result<String, CliError> {
 }
 
 /// `lvp perf` — runs the in-tree microbenchmark registry (see
-/// `crates/harness/src/perf.rs`) and optionally gates against a
-/// committed baseline.
+/// `crates/harness/src/perf.rs`).
 ///
 /// * no flags: run everything, human-readable table; `--fast` restricts
 ///   to the CI subset, `--bench NAME` (repeatable) picks benches.
-/// * `--json`: emit the stable `lvp-perf/1` document (the baseline
-///   format; regenerate with `scripts/rebaseline.sh`).
-/// * `--check [--baseline PATH] [--threshold PCT]`: compare medians
-///   against the baseline (default `results/perf_baseline.json`,
-///   threshold 10%). Regressions exit 1 with the report on stdout;
-///   unreadable or malformed baselines exit 2.
+/// * `--json`: emit the stable `lvp-perf/1` document that
+///   `scripts/perf_gate.sh` compares across builds.
 /// * `--list`: print the registry and exit.
 ///
 /// Iteration counts are env-pinned: `LVP_PERF_ITERS` (default 5) timed
@@ -1474,10 +1450,8 @@ pub fn cmd_synth(opts: &Options) -> Result<String, CliError> {
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] (exit 2) for unknown bench names, bad
-/// iteration-count environment values, and unreadable or malformed
-/// baselines; [`CliError::findings`] (exit 1) when `--check` detects a
-/// regression.
+/// Returns [`CliError`] (exit 2) for unknown bench names and bad
+/// iteration-count environment values.
 pub fn cmd_perf(opts: &Options) -> Result<String, CliError> {
     use lvp_harness::perf;
 
@@ -1493,47 +1467,11 @@ pub fn cmd_perf(opts: &Options) -> Result<String, CliError> {
             cfg.warmup, cfg.iters
         );
     });
-
-    let mut out = if opts.json {
+    Ok(if opts.json {
         report.to_json()
     } else {
         render_perf_table(&report)
-    };
-
-    if opts.check {
-        let path = opts
-            .baseline
-            .as_deref()
-            .unwrap_or("results/perf_baseline.json");
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| CliError::new(format!("cannot read baseline {path}: {e}")))?;
-        let baseline = lvp_harness::PerfReport::from_json(&text)
-            .map_err(|e| CliError::new(format!("baseline {path}: {e}")))?;
-        let regressions = perf::check(&report, &baseline, opts.threshold);
-        let compared = report
-            .results
-            .iter()
-            .filter(|r| baseline.results.iter().any(|b| b.name == r.name))
-            .count();
-        if regressions.is_empty() {
-            let _ = writeln!(
-                out,
-                "perf check: {compared} bench{} within +{}% of {path}",
-                if compared == 1 { "" } else { "es" },
-                opts.threshold
-            );
-        } else {
-            for r in &regressions {
-                let _ = writeln!(
-                    out,
-                    "perf regression: {} median {} ns vs baseline {} ns (+{}%, threshold +{}%)",
-                    r.name, r.current_ns, r.baseline_ns, r.slowdown_pct, opts.threshold
-                );
-            }
-            return Err(CliError::findings(out));
-        }
-    }
-    Ok(out)
+    })
 }
 
 /// `lvp perf --list`: one line per registered bench, with the name
@@ -1594,8 +1532,8 @@ pub fn usage() -> &'static str {
      \x20 synth    --profile <name>     deterministic adversarial workloads\n\
      \x20                               (--seed N --scale bench|tiny --out FILE\n\
      \x20                                --verify --list)\n\
-     \x20 perf     [--list]             in-tree microbenchmarks; --check gates\n\
-     \x20                               against results/perf_baseline.json\n\n\
+     \x20 perf     [--list]             in-tree microbenchmarks (--json for\n\
+     \x20                               scripts/perf_gate.sh)\n\n\
      options: --profile toc|gp  --config simple|constant|limit|perfect\n\
      \x20        --predictor last-value|stride|context|store-to-load|hybrid\n\
      \x20        (backend for annotate/simulate/locality/check/bench)\n\
@@ -1609,10 +1547,9 @@ pub fn usage() -> &'static str {
      \x20        --format text|json (with check)\n\
      \x20        --out FILE (with trace pack)\n\
      \x20        --threads N  --fast  --all  --csv (with bench / check --all)\n\
-     \x20        --bench NAME  --json  --baseline FILE  --check\n\
-     \x20        --threshold PCT  --list (with perf)\n\n\
-     `lvp check` / `lvp perf --check` exit codes: 0 clean, 1 findings\n\
-     (report on stdout), 2 analysis error (message on stderr).\n"
+     \x20        --bench NAME  --json  --list (with perf)\n\n\
+     `lvp check` exit codes: 0 clean, 1 findings (report on stdout),\n\
+     2 analysis error (message on stderr).\n"
 }
 
 /// Dispatches a full argument vector (excluding `argv[0]`).
@@ -1942,14 +1879,18 @@ mod tests {
 
     #[test]
     fn removed_flags_are_unknown() {
-        // There is no persistent trace cache to relocate or disable, and
-        // no trace-generation engine to select.
-        for flags in [
-            &["--cache-dir", "/tmp/c"][..],
-            &["--no-disk-cache"],
-            &["--engine", "interp"],
+        // There is no persistent trace cache to relocate or disable, no
+        // trace-generation engine to select, and no perf baseline check
+        // (`scripts/perf_gate.sh` compares builds on one host).
+        for (cmd, flags) in [
+            ("run", &["--cache-dir", "/tmp/c"][..]),
+            ("run", &["--no-disk-cache"]),
+            ("run", &["--engine", "interp"]),
+            ("perf", &["--check"]),
+            ("perf", &["--baseline", "F"]),
+            ("perf", &["--threshold", "60"]),
         ] {
-            let err = parse_options("run", &args(flags)).unwrap_err();
+            let err = parse_options(cmd, &args(flags)).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{err}");
             assert!(err.to_string().contains("unknown flag"), "{err}");
         }
@@ -2300,21 +2241,13 @@ mod tests {
                 "--bench",
                 "sim_620_256k",
                 "--json",
-                "--check",
-                "--baseline",
-                "b.json",
-                "--threshold",
-                "40",
                 "--list",
             ]),
         )
         .unwrap();
         assert_eq!(o.bench, vec!["alias_fixpoint", "sim_620_256k"]);
-        assert!(o.json && o.check && o.list);
-        assert_eq!(o.baseline.as_deref(), Some("b.json"));
-        assert_eq!(o.threshold, 40);
+        assert!(o.json && o.list);
         assert!(pos.is_empty());
-        assert!(parse_options("perf", &args(&["--threshold", "lots"])).is_err());
         assert!(parse_options("perf", &args(&["--bench"])).is_err());
     }
 
@@ -2343,95 +2276,28 @@ mod tests {
         v
     }
 
-    fn temp_baseline(name: &str, contents: &str) -> String {
-        let path = std::env::temp_dir().join(format!("lvp-{}-{name}", std::process::id()));
-        std::fs::write(&path, contents).expect("write temp baseline");
-        path.to_string_lossy().into_owned()
-    }
-
-    #[test]
-    fn perf_check_missing_baseline_is_exit_2() {
-        let e = dispatch(&perf_args(&[
-            "--check",
-            "--baseline",
-            "/nonexistent/b.json",
-        ]))
-        .unwrap_err();
-        assert_eq!(e.exit_code(), 2);
-        assert!(!e.to_stdout());
-        assert!(e.to_string().contains("cannot read baseline"), "{e}");
-    }
-
-    #[test]
-    fn perf_check_malformed_baseline_is_exit_2_not_panic() {
-        for (name, contents) in [
-            ("truncated", "{\"format\": \"lvp-perf/1\", \"iters\""),
-            (
-                "wrong-tag",
-                "{\"format\": \"lvp-check/1\", \"iters\": 5, \"warmup\": 1, \"benches\": []}",
-            ),
-            (
-                "missing-field",
-                "{\"format\": \"lvp-perf/1\", \"benches\": []}",
-            ),
-            ("not-json", "median_ns: 5"),
-        ] {
-            let path = temp_baseline(name, contents);
-            let e = dispatch(&perf_args(&["--check", "--baseline", &path])).unwrap_err();
-            assert_eq!(e.exit_code(), 2, "{name}: {e}");
-            assert!(!e.to_stdout(), "{name}");
-            let _ = std::fs::remove_file(&path);
-        }
-    }
-
-    #[test]
-    fn perf_check_synthetic_slowdown_is_exit_1_on_stdout() {
-        // A baseline claiming the bench takes 1 ns: the real run must
-        // regress past any threshold and exit 1 with the report on stdout.
-        let baseline = "{\n    \"format\": \"lvp-perf/1\",\n    \"iters\": 1,\n    \
-                        \"warmup\": 0,\n    \"benches\": [\n        {\n            \
-                        \"name\": \"alias_fixpoint\",\n            \"median_ns\": 1,\n            \
-                        \"p10_ns\": 1,\n            \"p90_ns\": 1,\n            \
-                        \"samples_ns\": [1]\n        }\n    ]\n}\n";
-        let path = temp_baseline("slow", baseline);
-        let e = dispatch(&perf_args(&[
-            "--check",
-            "--baseline",
-            &path,
-            "--threshold",
-            "40",
-        ]))
-        .unwrap_err();
-        assert_eq!(e.exit_code(), 1);
-        assert!(e.to_stdout(), "regression report belongs on stdout");
-        assert!(
-            e.to_string().contains("perf regression: alias_fixpoint"),
-            "{e}"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn perf_check_passes_against_generous_baseline() {
-        // A baseline claiming an absurdly slow run: the real run is
-        // faster, so the check passes and reports the comparison.
-        let baseline = "{\n    \"format\": \"lvp-perf/1\",\n    \"iters\": 1,\n    \
-                        \"warmup\": 0,\n    \"benches\": [\n        {\n            \
-                        \"name\": \"alias_fixpoint\",\n            \"median_ns\": 600000000000,\n            \
-                        \"p10_ns\": 1,\n            \"p90_ns\": 1,\n            \
-                        \"samples_ns\": [600000000000]\n        }\n    ]\n}\n";
-        let path = temp_baseline("fast", baseline);
-        let out = dispatch(&perf_args(&["--check", "--baseline", &path])).unwrap();
-        assert!(out.contains("perf check: 1 bench within"), "{out}");
-        let _ = std::fs::remove_file(&path);
-    }
-
     #[test]
     fn perf_json_output_is_parseable() {
+        // The fields `scripts/perf_gate.sh` reads, in the writer's
+        // layout (pinned by `perf::tests::json_writer_output_is_pinned`).
         let out = dispatch(&perf_args(&["--json"])).unwrap();
-        let report = lvp_harness::PerfReport::from_json(&out).expect("own JSON parses");
-        assert_eq!(report.results.len(), 1);
-        assert_eq!(report.results[0].name, "alias_fixpoint");
+        assert!(
+            out.starts_with("{\n    \"format\": \"lvp-perf/1\",\n"),
+            "{out}"
+        );
+        let names: Vec<&str> = out
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("\"name\": "))
+            .collect();
+        assert_eq!(names, ["\"alias_fixpoint\","], "{out}");
+        let samples: Vec<&str> = out
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix("\"samples_ns\": ["))
+            .collect();
+        assert_eq!(samples.len(), 1, "{out}");
+        let sample = samples[0].strip_suffix(']').expect("one line of samples");
+        assert!(sample.parse::<u64>().is_ok(), "{out}");
+        assert!(out.ends_with("\n    ]\n}\n"), "{out}");
     }
 
     /// `(start, end)` byte offsets of the whitespace-separated tokens
@@ -2613,7 +2479,7 @@ mod tests {
         let positionals =
             words("quick xlisp synth-chase nonesuch prog.mc prog.s pack unpack verify info -x");
         let switches = words(
-            "--json --check --list --lint --compare-lct --memory --value-flow \
+            "--json --list --lint --compare-lct --memory --value-flow \
              --static-hints --cross-check --fast --all --csv --verify",
         );
         let unknown = words("--bogus --engine --cache-dir --no-disk-cache --top=5 -- --PROFILE");
@@ -2629,8 +2495,6 @@ mod tests {
             ("--format", &["text", "json"]),
             ("--out", &["out.lvpt", "gen.mc"]),
             ("--bench", &["alias_fixpoint", "nonesuch"]),
-            ("--baseline", &["b.json"]),
-            ("--threshold", &["0", "40"]),
             ("--seed", &["7", "18446744073709551615"]),
             ("--scale", &["bench", "tiny"]),
         ];
@@ -2644,7 +2508,6 @@ mod tests {
             ("--top", &["abc", "-1"]),
             ("--threads", &["0", "two"]),
             ("--format", &["xml"]),
-            ("--threshold", &["lots"]),
             ("--seed", &["x", "-1", "18446744073709551616"]),
             ("--scale", &["huge"]),
         ];

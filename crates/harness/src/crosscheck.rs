@@ -7,10 +7,9 @@
 //!
 //! 1. **Store sweep** — no dynamic store's byte range may overlap a
 //!    must-constant slot ([`ViolationKind::StoreOverlap`]);
-//! 2. **CVU events** — replaying the trace through an [`LvpUnit`] with a
-//!    [`CvuEventLog`] watching the must-constant slots, no certification
-//!    of such a slot may ever be destroyed by a store
-//!    ([`ViolationKind::CvuInvalidated`]);
+//! 2. **CVU invalidations** — replaying the trace through an
+//!    [`LvpUnit`], no certification a store destroys may cover a
+//!    must-constant slot ([`ViolationKind::CvuInvalidated`]);
 //! 3. **Value stability** — a must-constant pc must load the same value
 //!    on every execution ([`ViolationKind::ValueChanged`]).
 //!
@@ -28,8 +27,8 @@
 use crate::slots::TextSlots;
 use lvp_analyze::{analyze_memory, Region, RegionMap};
 use lvp_isa::Program;
-use lvp_predictor::{CvuEventLog, LvpConfig, LvpUnit};
-use lvp_trace::Trace;
+use lvp_predictor::{LvpConfig, LvpUnit};
+use lvp_trace::{PredOutcome, Trace};
 use std::fmt;
 
 #[cfg(test)]
@@ -134,7 +133,8 @@ fn overlaps(a: u64, aw: u8, b: u64, bw: u8) -> bool {
 }
 
 /// The must-constant slots sorted by data address, for the interval
-/// queries of the store sweep and the CVU invalidations.
+/// queries of the store sweep, the CVU invalidations and the
+/// verification count.
 struct SlotsByAddr {
     /// `(addr, width, load pc)`, sorted.
     slots: Vec<(u64, u8, u64)>,
@@ -181,8 +181,9 @@ struct Claim {
 ///
 /// One walk over the trace drives all three checks: it replays every
 /// load and store through the [`LvpUnit`], looks loads up in a table
-/// indexed by instruction slot, and finds the slots a store overlaps by
-/// binary search over the slots sorted by address.
+/// indexed by instruction slot, and finds the slots a store or a
+/// destroyed certification overlaps by binary search over the slots
+/// sorted by address.
 pub fn cross_check(
     program: &Program,
     trace: &Trace,
@@ -205,19 +206,25 @@ pub fn cross_check(
             by_pc[i] = Some(Claim { addr, first: None });
         }
     }
-    // Check 2: the LVP unit, with an event log watching exactly the
-    // must-constant slots, replays the trace in the same walk.
-    let watch: Vec<(u64, u8)> = slots.iter().map(|&(_, a, w)| (a, w)).collect();
-    let mut unit = LvpUnit::new(config.clone()).with_event_log(CvuEventLog::watching(watch));
+    // Check 2: the LVP unit replays the trace in the same walk. A
+    // `Constant` outcome is a CVU hit; it counts as verified when the
+    // access overlaps a must-constant slot.
+    let mut unit = LvpUnit::new(config.clone());
     let mut dynamic_loads = 0u64;
+    let mut cvu_verified = 0u64;
     for entry in trace.iter() {
         let Some(mem) = entry.mem else { continue };
         if entry.is_load() {
-            unit.on_load(entry.pc, mem.addr, mem.width, mem.value);
+            let outcome = unit.on_load(entry.pc, mem.addr, mem.width, mem.value);
             let Some(claim) = &mut by_pc[text.index(entry.pc)] else {
                 continue;
             };
             dynamic_loads += 1;
+            if outcome == PredOutcome::Constant
+                && by_addr.overlapping(mem.addr, mem.width).next().is_some()
+            {
+                cvu_verified += 1;
+            }
             match claim.first {
                 None => claim.first = Some(mem.value),
                 Some(v) if v != mem.value => {
@@ -233,7 +240,21 @@ pub fn cross_check(
                 Some(_) => {}
             }
         } else {
-            unit.on_store_at(entry.pc, mem.addr, mem.width, mem.value);
+            for victim in unit.on_store(mem.addr, mem.width, mem.value) {
+                for (pc, addr, _) in by_addr.overlapping(victim.addr, victim.width) {
+                    violations.push(CrossCheckViolation {
+                        load_pc: pc,
+                        kind: ViolationKind::CvuInvalidated,
+                        addr,
+                        region: regions.classify(addr),
+                        store_pc: Some(entry.pc),
+                        detail: format!(
+                            "store of {} byte(s) at {:#x} destroyed the certification",
+                            mem.width, mem.addr
+                        ),
+                    });
+                }
+            }
             for (pc, addr, _) in by_addr.overlapping(mem.addr, mem.width) {
                 violations.push(CrossCheckViolation {
                     load_pc: pc,
@@ -249,29 +270,6 @@ pub fn cross_check(
             }
         }
     }
-
-    let log = unit.take_events().expect("event log attached above");
-    for inv in &log.invalidations {
-        for (pc, addr, _) in by_addr.overlapping(inv.entry_addr, inv.entry_width) {
-            violations.push(CrossCheckViolation {
-                load_pc: pc,
-                kind: ViolationKind::CvuInvalidated,
-                addr,
-                region: regions.classify(addr),
-                store_pc: Some(inv.store_pc),
-                detail: format!(
-                    "store of {} byte(s) at {:#x} destroyed the certification",
-                    inv.store_width, inv.store_addr
-                ),
-            });
-        }
-    }
-    let cvu_verified = log
-        .verifications
-        .iter()
-        .filter(|(&pc, _)| by_pc[text.index(pc)].is_some())
-        .map(|(_, n)| n)
-        .sum();
 
     // Canonical order, duplicates (e.g. a hot store in a loop) collapsed.
     violations.sort();
@@ -351,6 +349,58 @@ mod tests {
         // claims actually made.
         let r = cross_check(&p, &t, &presets::simple(), "test/toc/O0".into());
         assert!(r.passed(), "{r}");
+    }
+
+    #[test]
+    fn cvu_verified_counts_only_loads_that_touch_a_slot() {
+        // Hand-built executions of a must-constant pc: CVU hits at an
+        // address outside every slot verify nothing a claim covers.
+        use lvp_trace::{MemAccess, OpKind, TraceEntry};
+        let (p, _) =
+            run(".data\nv: .dword 42\n.text\nmain:\n la a0, v\n ld a1, 0(a0)\n out a1\n halt\n");
+        let slots = analyze_memory(&p).must_constant_slots();
+        let &(pc, addr, width) = slots.first().expect("the loads of v are must-constant");
+        let loads_at = |at: u64| -> Trace {
+            (0..10)
+                .map(|_| {
+                    let mut e = TraceEntry::simple(pc, OpKind::Load);
+                    e.mem = Some(MemAccess {
+                        addr: at,
+                        width,
+                        value: 42,
+                        fp: false,
+                    });
+                    e
+                })
+                .collect()
+        };
+        let on_slot = cross_check(&p, &loads_at(addr), &presets::simple(), "t/toc/O0".into());
+        assert_eq!(on_slot.cvu_verified, 5, "{on_slot}");
+        let elsewhere = cross_check(
+            &p,
+            &loads_at(addr + 0x100),
+            &presets::simple(),
+            "t/toc/O0".into(),
+        );
+        assert_eq!(elsewhere.dynamic_must_constant_loads, 10);
+        assert_eq!(elsewhere.cvu_verified, 0, "{elsewhere}");
+    }
+
+    #[test]
+    fn slot_interval_overlap_detection() {
+        let slots = SlotsByAddr::new(&[(0x10000, 0x1000, 8), (0x10004, 0x1020, 4)]);
+        let hits = |addr, width| -> Vec<u64> {
+            slots
+                .overlapping(addr, width)
+                .map(|(pc, _, _)| pc)
+                .collect()
+        };
+        assert_eq!(hits(0x1000, 8), [0x10000]);
+        assert_eq!(hits(0x1004, 1), [0x10000], "inside the first interval");
+        assert_eq!(hits(0xffc, 8), [0x10000], "straddles the interval start");
+        assert!(hits(0x1008, 8).is_empty(), "between the intervals");
+        assert_eq!(hits(0x1022, 2), [0x10004]);
+        assert!(hits(0x1024, 4).is_empty(), "past the last interval");
     }
 
     #[test]

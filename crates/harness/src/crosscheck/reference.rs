@@ -1,13 +1,15 @@
-//! The cross-check as it was before the one-pass walk, kept verbatim as
-//! a differential oracle: every store compared with every must-constant
+//! The cross-check as it was before the one-pass walk, kept as a
+//! differential oracle: every store compared with every must-constant
 //! slot, a `BTreeMap` search per load, and the LVP-unit replay in a
-//! second walk (`LvpUnit::annotate`).
+//! second walk. Only that replay has changed since: it reads the
+//! outcomes of `on_load` and the certifications `on_store` returns
+//! instead of an event log.
 
 use super::{overlaps, CrossCheckReport, CrossCheckViolation, ViolationKind};
 use lvp_analyze::{analyze_memory, RegionMap};
 use lvp_isa::Program;
-use lvp_predictor::{CvuEventLog, LvpConfig, LvpUnit};
-use lvp_trace::Trace;
+use lvp_predictor::{LvpConfig, LvpUnit};
+use lvp_trace::{PredOutcome, Trace};
 use std::collections::BTreeMap;
 
 /// Runs the cross-check oracle for one compiled program and its trace
@@ -71,33 +73,43 @@ pub(crate) fn cross_check(
         }
     }
 
-    // Check 2: replay through the LVP unit with an event log watching
-    // exactly the must-constant slots.
-    let watch: Vec<(u64, u8)> = slots.iter().map(|&(_, a, w)| (a, w)).collect();
-    let mut unit = LvpUnit::new(config.clone()).with_event_log(CvuEventLog::watching(watch));
-    unit.annotate(trace);
-    let log = unit.take_events().expect("event log attached above");
-    for inv in &log.invalidations {
-        for &(pc, addr, width) in &slots {
-            if overlaps(inv.entry_addr, inv.entry_width, addr, width) {
-                violations.push(CrossCheckViolation {
-                    load_pc: pc,
-                    kind: ViolationKind::CvuInvalidated,
-                    addr,
-                    region: regions.classify(addr),
-                    store_pc: Some(inv.store_pc),
-                    detail: format!(
-                        "store of {} byte(s) at {:#x} destroyed the certification",
-                        inv.store_width, inv.store_addr
-                    ),
-                });
+    // Check 2: replay through the LVP unit. No certification a store
+    // destroys may cover a must-constant slot; CVU hits at must-constant
+    // pcs whose access overlaps a slot count as verified.
+    let mut unit = LvpUnit::new(config.clone());
+    let mut cvu_verified = 0u64;
+    for entry in trace.iter() {
+        let Some(mem) = entry.mem else { continue };
+        if entry.is_load() {
+            let outcome = unit.on_load(entry.pc, mem.addr, mem.width, mem.value);
+            if outcome == PredOutcome::Constant
+                && by_pc.contains_key(&entry.pc)
+                && slots
+                    .iter()
+                    .any(|&(_, addr, width)| overlaps(mem.addr, mem.width, addr, width))
+            {
+                cvu_verified += 1;
+            }
+        } else {
+            for victim in unit.on_store(mem.addr, mem.width, mem.value) {
+                for &(pc, addr, width) in &slots {
+                    if overlaps(victim.addr, victim.width, addr, width) {
+                        violations.push(CrossCheckViolation {
+                            load_pc: pc,
+                            kind: ViolationKind::CvuInvalidated,
+                            addr,
+                            region: regions.classify(addr),
+                            store_pc: Some(entry.pc),
+                            detail: format!(
+                                "store of {} byte(s) at {:#x} destroyed the certification",
+                                mem.width, mem.addr
+                            ),
+                        });
+                    }
+                }
             }
         }
     }
-    let cvu_verified = by_pc
-        .keys()
-        .filter_map(|pc| log.verifications.get(pc))
-        .sum();
 
     // Canonical order, duplicates (e.g. a hot store in a loop) collapsed.
     violations.sort();

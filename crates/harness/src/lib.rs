@@ -61,8 +61,7 @@ pub use engine::{Ctx, Engine, FAST_WORKLOADS};
 pub use error::{ErrorKind, HarnessError, Phase};
 pub use experiments::{address_ranges, experiment, experiments, ExperimentDef};
 pub use perf::{
-    benches, check, run as run_benches, BenchDef, BenchResult, PerfConfig, PerfError, PerfReport,
-    Regression,
+    benches, run as run_benches, BenchDef, BenchResult, PerfConfig, PerfError, PerfReport,
 };
 pub use plan::{ExperimentPlan, JobSpec, MachineModel, Plan};
 pub use report::{geo_mean, Cell, ExperimentTable, Report, Section};

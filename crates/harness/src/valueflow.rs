@@ -57,7 +57,7 @@ use lvp_predictor::{
     StridePredictor,
 };
 use lvp_trace::{OpKind, Trace};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 
 #[cfg(test)]
@@ -298,7 +298,8 @@ struct Walk {
     kinds: Vec<PredictorKind>,
     /// Backend tallies, `kinds.len()` per slot.
     backend_evals: Vec<PredEval>,
-    /// `ConstantValueChanged` violations, in trace order.
+    /// `ConstantValueChanged` violations, one per (pc, later value), in
+    /// trace order of their first occurrence.
     changed: Vec<ValueFlowViolation>,
     /// The emulated last-value LCT, trained on every load.
     lct: Lct,
@@ -334,6 +335,7 @@ impl Walk {
         let n = backends.len();
         let mut backend_evals = vec![PredEval::default(); pcs.len() * n];
         let mut changed = Vec::new();
+        let mut changed_seen: HashSet<(u64, u64)> = HashSet::new();
         let mut lct = Lct::new(LctConfig {
             entries: TABLE_ENTRIES,
             counter_bits: 2,
@@ -362,14 +364,16 @@ impl Walk {
             if st.must_constant {
                 match st.first {
                     None => st.first = Some(value),
-                    Some(first) if first != value => changed.push(ValueFlowViolation {
-                        pc,
-                        class: LoadPredictability::MustConstant,
-                        kind: ValueFlowViolationKind::ConstantValueChanged {
-                            first,
-                            later: value,
-                        },
-                    }),
+                    Some(first) if first != value && changed_seen.insert((pc, value)) => {
+                        changed.push(ValueFlowViolation {
+                            pc,
+                            class: LoadPredictability::MustConstant,
+                            kind: ValueFlowViolationKind::ConstantValueChanged {
+                                first,
+                                later: value,
+                            },
+                        });
+                    }
                     Some(_) => {}
                 }
             }
@@ -555,8 +559,7 @@ pub fn value_flow_check_with(
         .collect();
     let under_approximations = lvp014_diagnostics(report, &predictable);
 
-    violations
-        .sort_by(|a, b| (a.pc, format!("{:?}", a.kind)).cmp(&(b.pc, format!("{:?}", b.kind))));
+    violations.sort_by_cached_key(|v| (v.pc, format!("{:?}", v.kind)));
     violations.dedup_by(|a, b| a.pc == b.pc && a.kind == b.kind);
 
     ValueFlowCheckReport {

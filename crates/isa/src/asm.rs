@@ -40,7 +40,7 @@
 //! ```
 
 use crate::op::{Instr, INSTR_BYTES};
-use crate::program::{Program, DATA_BASE, TEXT_BASE};
+use crate::program::{Program, DATA_BASE, MAX_DATA_IMAGE, TEXT_BASE};
 use crate::reg::{FReg, Reg};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -274,7 +274,9 @@ impl Assembler {
             p1.line(raw, line_no)?;
         }
 
-        // Lay out the pool after the data segment, 8-byte aligned.
+        // Lay out the pool after the data segment, 8-byte aligned. Slots
+        // added after the last data directive can still overflow it.
+        p1.reserve_data(0, 0)?;
         while !p1.data.len().is_multiple_of(8) {
             p1.data.push(0);
         }
@@ -469,6 +471,8 @@ impl Pass1 {
                 }
                 if self.section == Section::Data {
                     let align = 1usize << n;
+                    let pad = self.data.len().next_multiple_of(align) - self.data.len();
+                    self.reserve_data(pad as u64, line)?;
                     while !self.data.len().is_multiple_of(align) {
                         self.data.push(0);
                     }
@@ -499,6 +503,7 @@ impl Pass1 {
                     ));
                 }
                 let s = parse_string(args.trim(), line)?;
+                self.reserve_data(s.len() as u64 + u64::from(name == "asciiz"), line)?;
                 self.data.extend_from_slice(&s);
                 if name == "asciiz" {
                     self.data.push(0);
@@ -521,6 +526,7 @@ impl Pass1 {
                 if n < 0 {
                     return Err(AsmError::new(line, ".space size must be non-negative"));
                 }
+                self.reserve_data(n as u64, line)?;
                 self.data.extend(std::iter::repeat_n(fill, n as usize));
             }
             "equ" => {
@@ -547,6 +553,7 @@ impl Pass1 {
     /// Emits one data cell that may be an integer expression or a symbol
     /// reference (patched after pass 1).
     fn data_cell(&mut self, text: &str, size: usize, line: usize) -> Result<(), AsmError> {
+        self.reserve_data(size as u64, line)?;
         let text = text.trim();
         if let Ok(v) = self.eval_int(text, line) {
             let bytes = (v as u64).to_le_bytes();
@@ -565,6 +572,23 @@ impl Pass1 {
         });
         self.data.extend(std::iter::repeat_n(0u8, size));
         Ok(())
+    }
+
+    /// Refuses to grow the data image by `extra` bytes when the image,
+    /// with the constant pool so far laid out after it, would then
+    /// exceed [`MAX_DATA_IMAGE`]. Called before anything is allocated.
+    fn reserve_data(&self, extra: u64, line: usize) -> Result<(), AsmError> {
+        let image = (self.data.len() as u64)
+            .checked_add(extra)
+            .and_then(|len| len.checked_next_multiple_of(8))
+            .and_then(|len| len.checked_add(8 * self.pool.slots.len() as u64));
+        match image {
+            Some(len) if len <= MAX_DATA_IMAGE => Ok(()),
+            _ => Err(AsmError::new(
+                line,
+                format!("data image exceeds {MAX_DATA_IMAGE} bytes (constant pool included)"),
+            )),
+        }
     }
 
     fn push(&mut self, line: usize, item: PInstr) {
@@ -1698,5 +1722,48 @@ mod tests {
     fn error_shift_amount_out_of_range() {
         let e = asm_err("main: slli a0, a0, 64\n halt\n");
         assert!(e.contains("shift amount must be in 0..64"), "{e}");
+    }
+
+    #[test]
+    fn data_image_is_bounded_by_data_memory() {
+        let full = format!(".data\nbuf: .space {MAX_DATA_IMAGE}\n.text\nmain: halt\n");
+        assert_eq!(
+            asm(AsmProfile::Gp, &full).data().len() as u64,
+            MAX_DATA_IMAGE
+        );
+        let too_large = format!("data image exceeds {MAX_DATA_IMAGE} bytes");
+        // Without printing a multi-megabyte program on failure.
+        let refuse = |profile, src: &str| match Assembler::new(profile).assemble(src) {
+            Ok(_) => panic!("{src}: assembled"),
+            Err(e) => e,
+        };
+        // Each data directive is refused at its line before it allocates.
+        for (directive, line) in [
+            (format!(".space {}", MAX_DATA_IMAGE + 1), 2),
+            (".space 9223372036854775807".to_string(), 2),
+            (format!(".space {MAX_DATA_IMAGE}\n .byte 1"), 3),
+            (format!(".space {MAX_DATA_IMAGE}\n .dword 1"), 3),
+            (format!(".space {MAX_DATA_IMAGE}\n .asciiz \"\""), 3),
+        ] {
+            let src = format!(".data\nbuf: {directive}\n.text\nmain: halt\n");
+            let e = refuse(AsmProfile::Gp, &src).to_string();
+            assert!(e.contains(&format!("line {line}: {too_large}")), "{e}");
+        }
+        // The constant pool counts, both the slots allocated before a
+        // directive and those allocated after the last one.
+        let e = refuse(
+            AsmProfile::Toc,
+            &format!(
+                "main: la a0, buf\n halt\n.data\nbuf: .space {}\n .align 4\n",
+                MAX_DATA_IMAGE - 12
+            ),
+        );
+        assert_eq!(e.line(), 5, "{e}");
+        let e = refuse(
+            AsmProfile::Toc,
+            &format!(".data\nbuf: .space {MAX_DATA_IMAGE}\n.text\nmain: la a0, buf\n halt\n"),
+        );
+        assert_eq!(e.line(), 0);
+        assert!(e.to_string().contains(&too_large), "{e}");
     }
 }

@@ -43,5 +43,7 @@ mod reg;
 
 pub use asm::{AsmError, AsmProfile, Assembler};
 pub use op::{CtrlFlow, Instr, MemWidth, RegId, INSTR_BYTES};
-pub use program::{Layout, Program, Segment, DATA_BASE, MEM_SIZE, STACK_TOP, TEXT_BASE};
+pub use program::{
+    Layout, Program, Segment, DATA_BASE, MAX_DATA_IMAGE, MEM_SIZE, STACK_TOP, TEXT_BASE,
+};
 pub use reg::{FReg, ParseRegError, Reg, FP_ABI_NAMES, INT_ABI_NAMES};

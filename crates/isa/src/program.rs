@@ -13,6 +13,9 @@ pub const STACK_TOP: u64 = 0x0080_0000;
 /// Total simulated memory size in bytes (text addresses are not backed by
 /// data memory; only `[DATA_BASE, STACK_TOP)` is).
 pub const MEM_SIZE: u64 = STACK_TOP;
+/// The largest data image, constant pool included, that data memory
+/// `[DATA_BASE, STACK_TOP)` can hold.
+pub const MAX_DATA_IMAGE: u64 = STACK_TOP - DATA_BASE;
 
 /// The kind of segment an address falls into, used by the paper's Figure 2
 /// to classify loaded *values* as instruction addresses, data addresses, or

@@ -22,6 +22,7 @@
 
 use crate::ast::*;
 use crate::token::LangError;
+use lvp_isa::MAX_DATA_IMAGE;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -174,8 +175,9 @@ impl Generator {
         }
         self.emit("    .data");
         let globals: Vec<Global> = ast.globals.clone();
+        let mut data_len = 0;
         for g in &globals {
-            self.global_data(g)?;
+            data_len = self.global_data(g, data_len)?;
         }
         Ok(std::mem::take(&mut self.asm))
     }
@@ -196,11 +198,34 @@ impl Generator {
 
     // ---- globals ----
 
-    fn global_data(&mut self, g: &Global) -> Result<(), LangError> {
+    /// Emits global `g` after `data_len` bytes of earlier globals and
+    /// returns the data image's length with it. A global whose size
+    /// overflows or that would push the image past [`MAX_DATA_IMAGE`]
+    /// is refused at its declaration.
+    fn global_data(&mut self, g: &Global, data_len: u64) -> Result<u64, LangError> {
         let sym = &self.globals[&g.name];
         let label = sym.label.clone();
         let elem_size = g.elem.size();
-        let total = g.len.unwrap_or(1) * elem_size;
+        let start = match g.elem {
+            ElemType::Char => data_len,
+            _ => data_len.next_multiple_of(8),
+        };
+        let end = g
+            .len
+            .unwrap_or(1)
+            .checked_mul(elem_size)
+            .and_then(|total| start.checked_add(total))
+            .filter(|&end| end <= MAX_DATA_IMAGE)
+            .ok_or_else(|| {
+                LangError::new(
+                    g.line,
+                    format!(
+                        "global `{}` does not fit: data memory holds at most {MAX_DATA_IMAGE} bytes",
+                        g.name
+                    ),
+                )
+            })?;
+        let total = end - start;
         if g.elem != ElemType::Char {
             self.emit("    .align 3");
         }
@@ -289,7 +314,7 @@ impl Generator {
                 }
             }
         }
-        Ok(())
+        Ok(end)
     }
 
     // ---- functions ----
@@ -332,6 +357,7 @@ impl Generator {
 
         let mut next_sreg = 0usize;
         let mut next_fsreg = 0usize;
+        let mut frame_bytes = 0u64;
         let mut declare = |name: &str,
                            elem: ElemType,
                            len: Option<u64>,
@@ -343,7 +369,22 @@ impl Generator {
                 return Err(LangError::new(line, format!("duplicate local `{name}`")));
             }
             let ty = elem.scalar();
-            let slot = if len.is_some() {
+            let slot = if let Some(n) = len {
+                // A frame array whose size overflows, or that cannot fit
+                // in data memory with the arrays before it, is refused.
+                frame_bytes = n
+                    .checked_mul(elem.size())
+                    .filter(|&size| size <= MAX_DATA_IMAGE)
+                    .map(|size| frame_bytes + size.next_multiple_of(8))
+                    .filter(|&total| total <= MAX_DATA_IMAGE)
+                    .ok_or_else(|| {
+                        LangError::new(
+                            line,
+                            format!(
+                                "local array `{name}` does not fit: data memory holds at most {MAX_DATA_IMAGE} bytes"
+                            ),
+                        )
+                    })?;
                 frame_locals.push((name.to_string(), elem, len));
                 Slot::Frame(-1) // patched below
             } else {

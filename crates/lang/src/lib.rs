@@ -367,6 +367,38 @@ mod tests {
     }
 
     #[test]
+    fn oversized_arrays_are_refused_at_their_declaration() {
+        // Arrays that fit on their own but not together: the bound
+        // counts every global, and every array of a frame, before the
+        // one refused. (`cli/tests/oversized_inputs.rs` drives single
+        // oversized and overflowing arrays through `lvp run`.)
+        let limit = lvp_isa::MAX_DATA_IMAGE;
+        let n = limit / 16 + 8;
+        for (src, message) in [
+            (
+                format!("global int a[{n}];\nglobal int b[{n}];\nfn main() {{ out(a[0]); }}"),
+                "line 2: global `b` does not fit",
+            ),
+            (
+                format!("fn main() {{\n int a[{n}];\n int b[{n}];\n out(a[0] + b[0]);\n}}"),
+                "line 3: local array `b` does not fit",
+            ),
+        ] {
+            let Err(e) = compile(&src, AsmProfile::Toc) else {
+                panic!("{src}: compiled");
+            };
+            assert!(e.to_string().contains(message), "{src}: {e}");
+        }
+        // A global filling data memory exactly still compiles (Gp needs
+        // no constant pool for it).
+        let src = format!("global char g[{limit}];\nfn main() {{ out(g[0]); }}");
+        assert_eq!(
+            compile(&src, AsmProfile::Gp).unwrap().data().len() as u64,
+            limit
+        );
+    }
+
+    #[test]
     fn type_errors_are_reported() {
         assert!(compile("fn main() { out(1.5); }", AsmProfile::Gp).is_err());
         assert!(compile("fn main() { float f; f = 1; }", AsmProfile::Gp).is_err());

@@ -37,7 +37,7 @@ fn blocks(addr: u64, width: u8) -> (u64, u64) {
 }
 
 /// A CVU entry removed by a store, as reported by
-/// [`Cvu::invalidate_store_victims`].
+/// [`Cvu::invalidate_store`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CvuVictim {
     /// The value source the entry certified (the LVP unit passes the
@@ -382,22 +382,11 @@ impl Cvu {
 
     /// Invalidates every entry whose byte range overlaps a store of
     /// `width` bytes at `addr` (the fully-associative store lookup of
-    /// Figure 3). Returns the number of entries removed.
-    pub fn invalidate_store(&mut self, addr: u64, width: u8) -> usize {
-        self.snoop(addr, width);
-        let removed = self.victim_ids.len();
-        for i in 0..removed {
-            self.remove(self.victim_ids[i]);
-        }
-        self.invalidations += removed as u64;
-        removed
-    }
-
-    /// Like [`Cvu::invalidate_store`], but returns the removed entries,
-    /// most recently used first, so callers (the cross-check event log)
-    /// can identify exactly which certifications a store destroyed. The
-    /// slice is valid until the next call.
-    pub fn invalidate_store_victims(&mut self, addr: u64, width: u8) -> &[CvuVictim] {
+    /// Figure 3) and returns the removed entries, most recently used
+    /// first, so the order does not depend on the index layout. The
+    /// slice is valid until the next store; [`Cvu::invalidate_index`]
+    /// leaves it alone.
+    pub fn invalidate_store(&mut self, addr: u64, width: u8) -> &[CvuVictim] {
         self.snoop(addr, width);
         let nodes = &self.nodes;
         self.victim_ids
@@ -414,6 +403,11 @@ impl Cvu {
             self.remove(id);
         }
         self.invalidations += self.victims.len() as u64;
+        &self.victims
+    }
+
+    /// The entries the last [`Cvu::invalidate_store`] removed.
+    pub(crate) fn store_victims(&self) -> &[CvuVictim] {
         &self.victims
     }
 
@@ -471,9 +465,10 @@ impl Cvu {
 
 #[cfg(test)]
 mod reference {
-    //! The original linear-scan CVU, kept verbatim as a differential
-    //! oracle for the indexed one: a `Vec` in LRU order that every
-    //! store, slot invalidation and lookup scans in full.
+    //! The original linear-scan CVU, kept as a differential oracle for
+    //! the indexed one: a `Vec` in LRU order that every store, slot
+    //! invalidation and lookup scans in full. Its store returns the
+    //! removed entries in that order, as the indexed one must.
     use super::{ranges_overlap, CvuConfig, CvuVictim};
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -555,27 +550,12 @@ mod reference {
             );
         }
 
-        pub(super) fn invalidate_store(&mut self, addr: u64, width: u8) -> usize {
-            self.invalidate_overlapping(addr, width, |_| {})
-        }
-
-        pub(super) fn invalidate_store_victims(&mut self, addr: u64, width: u8) -> Vec<CvuVictim> {
+        pub(super) fn invalidate_store(&mut self, addr: u64, width: u8) -> Vec<CvuVictim> {
             let mut victims = Vec::new();
-            self.invalidate_overlapping(addr, width, |v| victims.push(v));
-            victims
-        }
-
-        fn invalidate_overlapping(
-            &mut self,
-            addr: u64,
-            width: u8,
-            mut on_victim: impl FnMut(CvuVictim),
-        ) -> usize {
-            let before = self.entries.len();
             self.entries.retain(|e| {
                 let hit = ranges_overlap(addr, width, e.addr, e.width);
                 if hit {
-                    on_victim(CvuVictim {
+                    victims.push(CvuVictim {
                         source: e.lvpt_index,
                         addr: e.addr,
                         width: e.width,
@@ -583,9 +563,8 @@ mod reference {
                 }
                 !hit
             });
-            let removed = before - self.entries.len();
-            self.invalidations += removed as u64;
-            removed
+            self.invalidations += victims.len() as u64;
+            victims
         }
 
         pub(super) fn invalidate_index(&mut self, lvpt_index: usize) -> usize {
@@ -638,13 +617,13 @@ mod tests {
         c.insert(2, 0x1010, 4);
         c.insert(3, 0x1020, 8);
         // A 1-byte store into the middle of the first entry kills it.
-        assert_eq!(c.invalidate_store(0x1004, 1), 1);
+        assert_eq!(c.invalidate_store(0x1004, 1).len(), 1);
         assert!(!c.lookup(1, 0x1000));
         // An 8-byte store spanning 0x100c..0x1014 kills the word at 0x1010.
-        assert_eq!(c.invalidate_store(0x100c, 8), 1);
+        assert_eq!(c.invalidate_store(0x100c, 8).len(), 1);
         assert!(!c.lookup(2, 0x1010));
         // Non-overlapping store leaves the last entry alone.
-        assert_eq!(c.invalidate_store(0x1028, 8), 0);
+        assert!(c.invalidate_store(0x1028, 8).is_empty());
         assert!(c.lookup(3, 0x1020));
         assert_eq!(c.invalidations(), 2);
     }
@@ -696,17 +675,17 @@ mod tests {
         // 4 bytes at 0x1006 straddle into the next block; 2 do not.
         c.insert(1, 0x1006, 4);
         c.insert(1, 0x1006, 2);
-        assert_eq!(c.invalidate_store(0x1008, 8), 0);
+        assert!(c.invalidate_store(0x1008, 8).is_empty());
         c.insert(1, 0x1006, 4);
-        assert_eq!(c.invalidate_store(0x1008, 8), 1);
+        assert_eq!(c.invalidate_store(0x1008, 8).len(), 1);
     }
 
     #[test]
-    fn invalidate_store_victims_reports_removed_entries() {
+    fn invalidate_store_reports_removed_entries() {
         let mut c = cvu(8);
         c.insert(1, 0x1000, 8);
         c.insert(2, 0x1010, 4);
-        let victims = c.invalidate_store_victims(0x1004, 1).to_vec();
+        let victims = c.invalidate_store(0x1004, 1).to_vec();
         assert_eq!(
             victims,
             vec![CvuVictim {
@@ -718,7 +697,7 @@ mod tests {
         assert!(!c.lookup(1, 0x1000));
         assert!(c.lookup(2, 0x1010));
         assert_eq!(c.invalidations(), 1);
-        assert!(c.invalidate_store_victims(0x2000, 8).is_empty());
+        assert!(c.invalidate_store(0x2000, 8).is_empty());
     }
 
     /// What one differential run exercised, so the tests can show the
@@ -806,26 +785,22 @@ mod tests {
                         );
                         seen.index_removals += removed as u64;
                     }
-                    1 => {
-                        let (a, w) = (addr(&mut rng), *rng.pick(&WIDTHS));
-                        let victims = want.invalidate_store_victims(a, w);
-                        assert_eq!(
-                            got.invalidate_store_victims(a, w),
-                            victims.as_slice(),
-                            "{}",
-                            at("store victims")
-                        );
-                        seen.multi_victim_stores += u64::from(victims.len() > 1);
-                    }
-                    _ => {
+                    branch => {
                         let a = addr(&mut rng);
-                        let w = if rng.chance(1, 20) {
+                        // Now and then wider than a block, or empty.
+                        let w = if branch == 2 && rng.chance(1, 20) {
                             *rng.pick(&[0, 16, 255])
                         } else {
                             *rng.pick(&WIDTHS)
                         };
-                        let removed = want.invalidate_store(a, w);
-                        assert_eq!(got.invalidate_store(a, w), removed, "{}", at("store"));
+                        let victims = want.invalidate_store(a, w);
+                        assert_eq!(
+                            got.invalidate_store(a, w),
+                            victims.as_slice(),
+                            "{}",
+                            at("store")
+                        );
+                        seen.multi_victim_stores += u64::from(victims.len() > 1);
                     }
                 }
             }

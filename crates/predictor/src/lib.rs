@@ -69,4 +69,4 @@ pub use locality::{AddressRanges, LocalityMeter, ValueClass};
 pub use lvpt::Lvpt;
 pub use predictor::{Backend, PredictorKind, UnknownPredictorKind};
 pub use stride::{PredEval, StridePredictor};
-pub use unit::{ConstantMispredict, CvuEventLog, CvuInvalidation, LvpStats, LvpUnit};
+pub use unit::{LvpStats, LvpUnit};

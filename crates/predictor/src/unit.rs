@@ -1,99 +1,13 @@
 //! The complete Load Value Prediction unit (paper Section 3.4, Figure 3).
 
 use crate::config::LvpConfig;
-use crate::cvu::Cvu;
+use crate::cvu::{Cvu, CvuVictim};
 use crate::hints::HintTable;
 use crate::index::word_index;
 use crate::lct::{Lct, LoadClass};
 use crate::predictor::Backend;
 use lvp_trace::{PredOutcome, Trace};
-use std::collections::{BTreeMap, BTreeSet};
-
-/// One CVU certification destroyed by a store, as recorded by the
-/// [`CvuEventLog`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CvuInvalidation {
-    /// Pc of the offending store (`0` when driven via
-    /// [`LvpUnit::on_store`], which has no pc).
-    pub store_pc: u64,
-    /// The store's data address.
-    pub store_addr: u64,
-    /// The store's width in bytes.
-    pub store_width: u8,
-    /// The certified data address the store destroyed.
-    pub entry_addr: u64,
-    /// The certified access width in bytes.
-    pub entry_width: u8,
-    /// The LVPT index the entry certified.
-    pub lvpt_index: usize,
-}
-
-/// A constant-classified load whose issued prediction verified wrong, as
-/// recorded by the [`CvuEventLog`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConstantMispredict {
-    /// Pc of the mispredicted load.
-    pub load_pc: u64,
-    /// The load's data address.
-    pub addr: u64,
-    /// The actual loaded value (the prediction differed).
-    pub value: u64,
-}
-
-/// An opt-in event log for the CVU: which stores destroyed which
-/// certifications, which constant-classified loads mispredicted, and how
-/// often each pc was CVU-verified.
-///
-/// The static/dynamic cross-check in `lvp-harness` uses this to assert
-/// that statically *must-constant* loads are never invalidated and never
-/// mispredict. To bound memory on long traces, the log can be restricted
-/// to a watch set of `(addr, width)` data intervals; verification counts
-/// are aggregated per pc either way.
-#[derive(Debug, Clone, Default)]
-pub struct CvuEventLog {
-    /// Watched `(addr, width)` intervals, sorted by address; `None`
-    /// records everything.
-    watch: Option<Vec<(u64, u8)>>,
-    /// Certifications destroyed by stores, in trace order.
-    pub invalidations: Vec<CvuInvalidation>,
-    /// Constant-classified loads that verified wrong, in trace order.
-    pub constant_mispredicts: Vec<ConstantMispredict>,
-    /// Per-pc count of CVU-verified (memory-bypassing) loads.
-    pub verifications: BTreeMap<u64, u64>,
-}
-
-impl CvuEventLog {
-    /// A log recording every event.
-    pub fn all() -> CvuEventLog {
-        CvuEventLog::default()
-    }
-
-    /// A log recording only events that touch one of the given
-    /// `(addr, width)` data intervals.
-    pub fn watching(mut slots: Vec<(u64, u8)>) -> CvuEventLog {
-        slots.sort_unstable();
-        slots.dedup();
-        CvuEventLog {
-            watch: Some(slots),
-            ..CvuEventLog::default()
-        }
-    }
-
-    /// Whether `[addr, addr + width)` intersects the watch set.
-    fn watched(&self, addr: u64, width: u8) -> bool {
-        let Some(watch) = &self.watch else {
-            return true;
-        };
-        // Intervals are sorted by start and at most 8 bytes wide, so only
-        // those starting in `(addr - 8, end)` can overlap.
-        let end = addr.saturating_add(width as u64);
-        let lo = watch.partition_point(|&(a, _)| a.saturating_add(8) <= addr);
-        watch[lo..]
-            .iter()
-            .take_while(|&&(a, _)| a < end)
-            .any(|&(a, w)| a < end && addr < a.saturating_add(w as u64))
-    }
-}
+use std::collections::BTreeSet;
 
 /// Counters gathered while simulating the LVP unit over a trace; these
 /// feed the paper's Tables 3 (LCT hit rates) and 4 (constant
@@ -202,7 +116,6 @@ pub struct LvpUnit {
     lct: Lct,
     cvu: Cvu,
     stats: LvpStats,
-    events: Option<CvuEventLog>,
     /// Hinted pcs whose first execution has not happened yet: the one
     /// cold verification that would otherwise erase the LCT seed is
     /// treated as neutral for these.
@@ -225,7 +138,6 @@ impl LvpUnit {
             lct: Lct::new(config.lct),
             cvu: Cvu::new(config.cvu),
             stats: LvpStats::default(),
-            events: None,
             pending_hints: BTreeSet::new(),
             pending_buckets: Vec::new(),
             config,
@@ -264,23 +176,6 @@ impl LvpUnit {
         }
         *bucket -= 1;
         true
-    }
-
-    /// Attaches a [`CvuEventLog`]; subsequent loads and stores record
-    /// their CVU events into it.
-    pub fn with_event_log(mut self, log: CvuEventLog) -> LvpUnit {
-        self.events = Some(log);
-        self
-    }
-
-    /// The attached event log, if any.
-    pub fn events(&self) -> Option<&CvuEventLog> {
-        self.events.as_ref()
-    }
-
-    /// Detaches and returns the event log.
-    pub fn take_events(&mut self) -> Option<CvuEventLog> {
-        self.events.take()
     }
 
     /// The configuration of this unit.
@@ -362,11 +257,6 @@ impl LvpUnit {
                     );
                     self.stats.correct += 1;
                     self.stats.constants_verified += 1;
-                    if let Some(log) = &mut self.events {
-                        if log.watched(addr, width) {
-                            *log.verifications.entry(pc).or_insert(0) += 1;
-                        }
-                    }
                     PredOutcome::Constant
                 } else if would_be_correct {
                     // Demoted to plain predictable: verified via memory;
@@ -376,15 +266,6 @@ impl LvpUnit {
                     PredOutcome::Correct
                 } else {
                     self.stats.incorrect += 1;
-                    if let Some(log) = &mut self.events {
-                        if log.watched(addr, width) {
-                            log.constant_mispredicts.push(ConstantMispredict {
-                                load_pc: pc,
-                                addr,
-                                value,
-                            });
-                        }
-                    }
                     PredOutcome::Incorrect
                 }
             }
@@ -409,40 +290,20 @@ impl LvpUnit {
     /// Processes one dynamic store: invalidate all matching CVU entries
     /// (the fully-associative store lookup of the paper's Figure 3) and
     /// feed the store to the backend (only the store-to-load backend
-    /// learns from it).
-    pub fn on_store(&mut self, addr: u64, width: u8, value: u64) {
-        self.on_store_at(0, addr, width, value);
-    }
-
-    /// Like [`LvpUnit::on_store`], with the store's pc for event
-    /// attribution (used by [`LvpUnit::annotate`] and the cross-check).
-    pub fn on_store_at(&mut self, store_pc: u64, addr: u64, width: u8, value: u64) {
+    /// learns from it). Returns the certifications the store's byte
+    /// range destroyed, most recently used first; the slice is valid
+    /// until the next store.
+    pub fn on_store(&mut self, addr: u64, width: u8, value: u64) -> &[CvuVictim] {
         self.stats.stores += 1;
-        match &mut self.events {
-            Some(log) => {
-                for v in self.cvu.invalidate_store_victims(addr, width) {
-                    if log.watched(v.addr, v.width) || log.watched(addr, width) {
-                        log.invalidations.push(CvuInvalidation {
-                            store_pc,
-                            store_addr: addr,
-                            store_width: width,
-                            entry_addr: v.addr,
-                            entry_width: v.width,
-                            lvpt_index: v.source,
-                        });
-                    }
-                }
-            }
-            None => {
-                self.cvu.invalidate_store(addr, width);
-            }
-        }
+        self.cvu.invalidate_store(addr, width);
         // An aliasing store can change a slot's prediction without its
         // byte range overlapping the certified address; drop any
-        // certifications for that slot too.
+        // certifications for that slot too. These are not among the
+        // returned entries.
         if let Some(idx) = self.backend.on_store(addr, width, value) {
             self.cvu.invalidate_index(idx);
         }
+        self.cvu.store_victims()
     }
 
     /// Runs the unit over a whole trace in program order, returning one
@@ -456,7 +317,7 @@ impl LvpUnit {
                 if entry.is_load() {
                     outcomes.push(self.on_load(entry.pc, mem.addr, mem.width, mem.value));
                 } else {
-                    self.on_store_at(entry.pc, mem.addr, mem.width, mem.value);
+                    self.on_store(mem.addr, mem.width, mem.value);
                 }
             }
         }
@@ -627,71 +488,70 @@ mod tests {
 
     #[test]
     fn event_log_records_invalidations_and_verifications() {
-        let mut u = LvpUnit::new(presets::simple()).with_event_log(CvuEventLog::all());
-        for _ in 0..6 {
-            u.on_load(PC, ADDR, 8, 7);
-        }
-        assert_eq!(u.on_load(PC, ADDR, 8, 7), PredOutcome::Constant);
-        u.on_store_at(0x20000, ADDR + 4, 4, 0);
-        let log = u.events().unwrap();
-        assert_eq!(log.invalidations.len(), 1);
-        let inv = log.invalidations[0];
-        assert_eq!(inv.store_pc, 0x20000);
-        assert_eq!(inv.store_addr, ADDR + 4);
-        assert_eq!(inv.entry_addr, ADDR);
-        assert_eq!(inv.entry_width, 8);
+        let mut u = LvpUnit::new(presets::simple());
+        let outcomes: Vec<_> = (0..7).map(|_| u.on_load(PC, ADDR, 8, 7)).collect();
         // Loads 6 and 7 were both CVU-verified.
-        assert_eq!(log.verifications.get(&PC), Some(&2));
-        // Behavior with the log attached matches the plain unit.
+        assert_eq!(outcomes[5..], [PredOutcome::Constant; 2]);
+        // A store into the certified doubleword reports the entry it
+        // destroyed.
+        let victims = u.on_store(ADDR + 4, 4, 0).to_vec();
+        assert_eq!(
+            victims,
+            [CvuVictim {
+                source: u.backend().index(PC, ADDR),
+                addr: ADDR,
+                width: 8,
+            }]
+        );
+        assert_eq!(u.cvu().invalidations(), 1);
         assert_eq!(u.on_load(PC, ADDR, 8, 7), PredOutcome::Correct);
         assert_eq!(u.on_load(PC, ADDR, 8, 7), PredOutcome::Constant);
     }
 
     #[test]
-    fn event_log_records_constant_mispredicts() {
-        let mut u = LvpUnit::new(presets::simple()).with_event_log(CvuEventLog::all());
-        for _ in 0..6 {
-            u.on_load(PC, ADDR, 8, 7);
-        }
-        u.on_store(ADDR, 8, 99);
-        assert_eq!(u.on_load(PC, ADDR, 8, 99), PredOutcome::Incorrect);
-        let log = u.take_events().unwrap();
-        assert_eq!(log.constant_mispredicts.len(), 1);
-        assert_eq!(log.constant_mispredicts[0].load_pc, PC);
-        assert_eq!(log.constant_mispredicts[0].value, 99);
-        assert!(u.events().is_none());
-    }
-
-    #[test]
     fn watched_log_filters_unrelated_addresses() {
         let other = ADDR + 0x100;
-        let mut u =
-            LvpUnit::new(presets::simple()).with_event_log(CvuEventLog::watching(vec![(ADDR, 8)]));
+        let mut u = LvpUnit::new(presets::simple());
+        let mut last = [PredOutcome::NotPredicted; 2];
         for _ in 0..7 {
-            u.on_load(PC, ADDR, 8, 7);
-            u.on_load(PC + 4, other, 8, 9);
+            last = [u.on_load(PC, ADDR, 8, 7), u.on_load(PC + 4, other, 8, 9)];
         }
-        // Both pcs reach Constant/CVU-verified; only the watched one logs.
-        u.on_store_at(0x20000, ADDR, 8, 7);
-        u.on_store_at(0x20004, other, 8, 9);
-        let log = u.events().unwrap();
-        assert!(log.verifications.contains_key(&PC));
-        assert!(!log.verifications.contains_key(&(PC + 4)));
-        assert_eq!(log.invalidations.len(), 1);
-        assert_eq!(log.invalidations[0].entry_addr, ADDR);
+        assert_eq!(last, [PredOutcome::Constant; 2]);
+        // Each store reports only the certification it overlaps.
+        let hit: Vec<u64> = u.on_store(ADDR, 8, 7).iter().map(|v| v.addr).collect();
+        assert_eq!(hit, [ADDR]);
+        let hit: Vec<u64> = u.on_store(other, 8, 9).iter().map(|v| v.addr).collect();
+        assert_eq!(hit, [other]);
+        assert!(u.on_store(ADDR + 0x200, 8, 0).is_empty());
         // Stats still count every store.
-        assert_eq!(u.stats().stores, 2);
+        assert_eq!(u.stats().stores, 3);
     }
 
     #[test]
-    fn watch_interval_overlap_detection() {
-        let log = CvuEventLog::watching(vec![(0x1000, 8), (0x1020, 4)]);
-        assert!(log.watched(0x1000, 8));
-        assert!(log.watched(0x1004, 1), "inside the first interval");
-        assert!(log.watched(0xffc, 8), "straddles the interval start");
-        assert!(!log.watched(0x1008, 8), "between the intervals");
-        assert!(log.watched(0x1022, 2));
-        assert!(!log.watched(0x1024, 4), "past the last interval");
+    fn store_returns_only_what_its_bytes_destroyed() {
+        // Under store-to-load with 16 slots, a store 64 bytes away
+        // aliases ADDR's slot: the slot invalidation drops ADDR's
+        // certification, but the store's bytes overlap nothing.
+        let config = presets::simple()
+            .builder()
+            .kind(crate::PredictorKind::StoreToLoad)
+            .lvpt_entries(16)
+            .build();
+        let mut u = LvpUnit::new(config);
+        u.on_store(ADDR, 8, 7);
+        let outcomes: Vec<_> = (0..5).map(|_| u.on_load(PC, ADDR, 8, 7)).collect();
+        assert_eq!(outcomes[4], PredOutcome::Constant);
+        assert!(u.on_store(ADDR + 0x40, 8, 9).is_empty());
+        assert!(u.cvu().is_empty(), "the slot invalidation still ran");
+        assert_eq!(u.cvu().invalidations(), 0);
+        // A store to ADDR itself that also changes the slot's value: the
+        // snoop runs first, so the store reports the entry it overlaps.
+        u.on_store(ADDR, 8, 7);
+        let outcomes: Vec<_> = (0..3).map(|_| u.on_load(PC, ADDR, 8, 7)).collect();
+        assert_eq!(outcomes[2], PredOutcome::Constant, "{outcomes:?}");
+        let victims: Vec<u64> = u.on_store(ADDR, 8, 8).iter().map(|v| v.addr).collect();
+        assert_eq!(victims, [ADDR]);
+        assert_eq!(u.cvu().invalidations(), 1);
     }
 
     fn hint(pc: u64, kind: crate::PredictorKind, confidence: u8) -> crate::HintTable {

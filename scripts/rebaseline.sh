@@ -2,10 +2,9 @@
 # Regenerates the committed performance baselines:
 #
 #   results/perf_baseline.json  — `lvp perf --json` over the full
-#                                 microbenchmark registry; the document
-#                                 `lvp perf --check` diffs medians
-#                                 against. ci.sh's gate
-#                                 (scripts/perf_gate.sh) compares
+#                                 microbenchmark registry: a record of
+#                                 this host. Nothing gates on it; ci.sh's
+#                                 gate (scripts/perf_gate.sh) compares
 #                                 against the base commit's build on the
 #                                 same host instead.
 #   BENCH_2.json                — end-to-end wall-clock for
@@ -36,6 +35,38 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# Checks that an `lvp perf --json` document carries what
+# scripts/perf_gate.sh reads: it parses, its format is lvp-perf/1, and
+# every bench has a name and a non-empty list of integer `samples_ns`.
+check_perf_record() {
+    python3 - "$1" <<'EOF'
+import json
+import sys
+
+path = sys.argv[1]
+try:
+    with open(path) as f:
+        doc = json.load(f)
+except (OSError, ValueError) as e:
+    sys.exit(f"rebaseline: {path} does not parse: {e}")
+if not isinstance(doc, dict) or doc.get("format") != "lvp-perf/1":
+    sys.exit(f"rebaseline: {path} is not an lvp-perf/1 document")
+benches = doc.get("benches")
+if not isinstance(benches, list) or not benches:
+    sys.exit(f"rebaseline: {path} has no benches")
+for i, b in enumerate(benches):
+    name = b.get("name") if isinstance(b, dict) else None
+    if not isinstance(name, str) or not name:
+        sys.exit(f"rebaseline: {path}: benches[{i}] has no name")
+    samples = b.get("samples_ns")
+    if not isinstance(samples, list) or not samples or not all(
+        type(s) is int and s >= 0 for s in samples
+    ):
+        sys.exit(f"rebaseline: {path}: bench {name} has no samples_ns")
+print(f"    {path}: {len(benches)} benches, format lvp-perf/1")
+EOF
+}
 
 if [ "${1:-}" = "--lints" ]; then
     echo "==> cargo build --release"
@@ -96,16 +127,7 @@ lvp=target/release/lvp
 
 echo "==> lvp perf --json (full registry) > results/perf_baseline.json"
 "$lvp" perf --json > results/perf_baseline.json
-# The fresh document must load as a `--check` baseline: exit 2 means it
-# does not parse. Exit 1 (a bench over the threshold seconds after the
-# recording) is host noise, not a broken record.
-status=0
-"$lvp" perf --check --baseline results/perf_baseline.json --bench sim_21164_256k \
-    > /dev/null 2>&1 || status=$?
-if [ "$status" -gt 1 ]; then
-    echo "rebaseline: results/perf_baseline.json does not load as a baseline" >&2
-    exit "$status"
-fi
+check_perf_record results/perf_baseline.json
 echo "    wrote results/perf_baseline.json"
 
 echo "==> lvp bench --all --fast --threads 2, 3 runs"
