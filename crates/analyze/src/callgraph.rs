@@ -96,11 +96,15 @@ pub struct CallGraph {
 
 impl CallGraph {
     /// Builds the call graph, bounding indirect calls with the alias
-    /// fixpoint.
-    pub fn build(program: &Program, cfg: &Cfg, alias: &AliasAnalysis) -> CallGraph {
+    /// fixpoint (computed over `regions`, `program`'s region map).
+    pub fn build(
+        program: &Program,
+        cfg: &Cfg,
+        regions: &RegionMap,
+        alias: &AliasAnalysis,
+    ) -> CallGraph {
         let text = program.text();
         let n = text.len();
-        let regions = RegionMap::new(program);
         let index_of = |pc: u64| -> Option<usize> {
             let rel = pc.wrapping_sub(TEXT_BASE);
             (rel.is_multiple_of(INSTR_BYTES) && rel / INSTR_BYTES < n as u64)
@@ -190,7 +194,7 @@ impl CallGraph {
                 if let Instr::Jalr { rs1, .. } = text[i] {
                     target_val[i] = Some(state[rs1.number() as usize]);
                 }
-                AliasAnalysis::transfer(program, &regions, &text[i], &mut state);
+                AliasAnalysis::transfer(program, regions, &text[i], &mut state);
             }
         }
 
@@ -469,7 +473,7 @@ mod tests {
         let cfg = Cfg::build(&p);
         let regions = RegionMap::new(&p);
         let alias = AliasAnalysis::compute(&p, &cfg, &regions);
-        let cg = CallGraph::build(&p, &cfg, &alias);
+        let cg = CallGraph::build(&p, &cfg, &regions, &alias);
         (p, cg)
     }
 

@@ -39,7 +39,7 @@ use crate::callgraph::{CallGraph, CallTarget};
 use crate::cfg::Cfg;
 use crate::diag::{sort_and_dedupe, Diagnostic, LintCode};
 use crate::interproc::{FnSummary, SummaryTable};
-use crate::provenance::{analyze_memory, MemClass};
+use crate::provenance::{analyze_memory_with, MemClass};
 use crate::regions::RegionMap;
 use crate::scev::{Evolution, LoopForest, ScalarEvolution};
 use crate::ssa::{Dominators, FlowGraph, Ssa, ValueId};
@@ -275,8 +275,11 @@ pub fn analyze_value_flow(program: &Program) -> ValueFlowReport {
         }
     }
 
-    // --- Provenance: must-constant loads (strongest class). ---
-    let mem = analyze_memory(program);
+    // --- Provenance: must-constant loads (strongest class), over the
+    // region map and alias fixpoint the rest of the pass shares. ---
+    let regions = RegionMap::new(program);
+    let alias = AliasAnalysis::compute(program, &cfg, &regions);
+    let mem = analyze_memory_with(program, &cfg, &regions, &alias);
     let must_constant: BTreeSet<u64> = mem
         .loads
         .iter()
@@ -286,8 +289,6 @@ pub fn analyze_value_flow(program: &Program) -> ValueFlowReport {
 
     // --- Address resolution per instruction (alias fixpoint replay, as
     // in the provenance pass). ---
-    let regions = RegionMap::new(program);
-    let alias = AliasAnalysis::compute(program, &cfg, &regions);
     let mut res_of: Vec<Option<AddrRes>> = vec![None; text.len()];
     for (b, block) in cfg.blocks().iter().enumerate() {
         if !alias.block_reached(b) {
@@ -302,7 +303,7 @@ pub fn analyze_value_flow(program: &Program) -> ValueFlowReport {
 
     // --- Interprocedural layer: call graph, effect summaries, and the
     // lints only a whole-program view can produce. ---
-    let cg = CallGraph::build(program, &cfg, &alias);
+    let cg = CallGraph::build(program, &cfg, &regions, &alias);
     let summaries = SummaryTable::compute(program, &cfg, &alias, &cg, &regions);
     let site_target: BTreeMap<usize, &CallTarget> =
         cg.sites().iter().map(|s| (s.instr, &s.target)).collect();

@@ -1,8 +1,10 @@
 //! Classic iterative dataflow passes over the [`Cfg`]: reaching
 //! definitions (forward, union meet) and register liveness (backward,
-//! union meet), over the 64 combined GPR+FPR slots ([`RegId::flat_index`]).
+//! union meet, over either [`FlowGraph`] view), over the 64 combined
+//! GPR+FPR slots ([`RegId::flat_index`]).
 
 use crate::cfg::Cfg;
+use crate::ssa::{is_caller_saved_slot, FlowGraph};
 use lvp_isa::{Program, RegId};
 
 /// Number of dataflow register slots: 32 integer + 32 floating-point.
@@ -216,24 +218,35 @@ pub struct Liveness {
 }
 
 impl Liveness {
-    /// Runs the backward liveness analysis.
+    /// Runs the backward liveness analysis over the raw [`Cfg`] edges.
     pub fn compute(program: &Program, cfg: &Cfg) -> Liveness {
+        Liveness::compute_with(program, cfg, &FlowGraph::raw(cfg))
+    }
+
+    /// Runs the backward liveness analysis over the graph view `g`
+    /// (block structure from `cfg`). The local view also treats each
+    /// call as defining the caller-saved slots: a clobbered register's
+    /// old value cannot be live across the call.
+    pub(crate) fn compute_with(program: &Program, cfg: &Cfg, g: &FlowGraph) -> Liveness {
         let text = program.text();
-        let nb = cfg.blocks().len();
+        let nb = g.len();
+        let clobbered = (0..NUM_REGS)
+            .filter(|&slot| is_caller_saved_slot(slot))
+            .fold(0u64, |mask, slot| mask | 1 << slot);
 
         // Per-block use (upward-exposed reads) and def masks.
         let mut use_mask = vec![0u64; nb];
         let mut def_mask = vec![0u64; nb];
         for (b, block) in cfg.blocks().iter().enumerate() {
-            for i in (block.start..block.end).rev() {
-                let instr = &text[i];
-                if let Some(d) = instr.defs() {
-                    let bit = 1u64 << d.flat_index();
-                    def_mask[b] |= bit;
-                    use_mask[b] &= !bit;
-                }
+            for (i, instr) in text.iter().enumerate().take(block.end).skip(block.start) {
                 for u in instr.uses() {
-                    use_mask[b] |= 1u64 << u.flat_index();
+                    use_mask[b] |= (1u64 << u.flat_index()) & !def_mask[b];
+                }
+                if let Some(d) = instr.defs() {
+                    def_mask[b] |= 1u64 << d.flat_index();
+                }
+                if g.is_call(i) {
+                    def_mask[b] |= clobbered;
                 }
             }
         }
@@ -245,7 +258,7 @@ impl Liveness {
             changed = false;
             for b in (0..nb).rev() {
                 let mut out = 0u64;
-                for &s in &cfg.blocks()[b].succs {
+                for &s in g.succs(b) {
                     out |= live_in[s];
                 }
                 let inb = use_mask[b] | (out & !def_mask[b]);
@@ -318,5 +331,23 @@ mod tests {
         // a0 is live into the loop block from its own back edge.
         let loop_b = cfg.block_of(1);
         assert!(lv.live_in[loop_b] & a0 != 0);
+    }
+
+    #[test]
+    fn local_view_liveness_ends_at_calls() {
+        // `f` reads a0, so on the raw view a0 is live into the call's
+        // block. The local view summarizes the call as clobbering the
+        // caller-saved a0: the read after the call makes a0 live out of
+        // the call's block, not into it.
+        let (p, cfg) = build(
+            "main:\n jal ra, f\n add a1, a0, a0\n halt\nf:\n addi a0, a0, 1\n jalr zero, ra, 0\n",
+        );
+        let a0 = 1u64 << RegId::Int(Reg::A0).flat_index();
+        let call = cfg.block_of(0);
+        let raw = Liveness::compute(&p, &cfg);
+        assert!(raw.live_in[call] & a0 != 0);
+        let local = Liveness::compute_with(&p, &cfg, &FlowGraph::local(&p, &cfg));
+        assert!(local.live_in[call] & a0 == 0);
+        assert!(local.live_out[call] & a0 != 0);
     }
 }

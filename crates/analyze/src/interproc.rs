@@ -221,7 +221,7 @@ mod tests {
         let cfg = Cfg::build(&p);
         let regions = RegionMap::new(&p);
         let alias = AliasAnalysis::compute(&p, &cfg, &regions);
-        let cg = CallGraph::build(&p, &cfg, &alias);
+        let cg = CallGraph::build(&p, &cfg, &regions, &alias);
         let table = SummaryTable::compute(&p, &cfg, &alias, &cg, &regions);
         (p, cg, table, regions)
     }

@@ -71,10 +71,14 @@ pub struct StaticLoad {
 ///   through the pool image when possible.
 /// * Everything else is [`StaticLoadClass::Computed`].
 pub fn classify_loads(program: &Program) -> Vec<StaticLoad> {
+    classify_loads_in(program, &Cfg::build(program))
+}
+
+/// [`classify_loads`] over `program`'s already-built [`Cfg`].
+pub(crate) fn classify_loads_in(program: &Program, cfg: &Cfg) -> Vec<StaticLoad> {
     let text = program.text();
     let gp_stable = !text.iter().any(|i| i.defs() == Some(RegId::Int(Reg::GP)));
     let layout = program.layout();
-    let cfg = Cfg::build(program);
 
     // Statically resolved store addresses (zero- or gp-based), used to
     // de-certify pool slots that the program provably writes.

@@ -18,7 +18,7 @@
 use crate::alias::{AbsVal, AddrRes, AliasAnalysis};
 use crate::cfg::Cfg;
 use crate::diag::{sort_and_dedupe, Diagnostic, LintCode};
-use crate::loads::{classify_loads, StaticLoadClass};
+use crate::loads::{classify_loads_in, StaticLoadClass};
 use crate::regions::{Region, RegionMap, RegionSet};
 use lvp_isa::Program;
 use std::fmt;
@@ -110,6 +110,17 @@ pub fn analyze_memory(program: &Program) -> MemoryReport {
     let cfg = Cfg::build(program);
     let regions = RegionMap::new(program);
     let alias = AliasAnalysis::compute(program, &cfg, &regions);
+    analyze_memory_with(program, &cfg, &regions, &alias)
+}
+
+/// [`analyze_memory`] over the [`Cfg`], [`RegionMap`] and alias
+/// fixpoint the caller already built for `program`.
+pub(crate) fn analyze_memory_with(
+    program: &Program,
+    cfg: &Cfg,
+    regions: &RegionMap,
+    alias: &AliasAnalysis,
+) -> MemoryReport {
     let text = program.text();
     let text_base = program.layout().text_base();
 
@@ -159,7 +170,7 @@ pub fn analyze_memory(program: &Program) -> MemoryReport {
                     });
                 }
             }
-            AliasAnalysis::transfer(program, &regions, instr, &mut state);
+            AliasAnalysis::transfer(program, regions, instr, &mut state);
         }
     }
 
@@ -167,7 +178,7 @@ pub fn analyze_memory(program: &Program) -> MemoryReport {
 
     // LVP007: store whose address set includes the compiler-owned pool.
     for s in &stores {
-        let set = s.res.regions(s.width, &regions);
+        let set = s.res.regions(s.width, regions);
         if set.contains(Region::ConstPool) {
             let msg = match s.res {
                 AddrRes::Exact(a) => {
@@ -184,12 +195,12 @@ pub fn analyze_memory(program: &Program) -> MemoryReport {
     // LVP009: a provably-stack address stored to provably non-stack
     // memory — the frame pointer escapes its frame.
     for s in &stores {
-        let val_regions = s.value.regions(&regions);
+        let val_regions = s.value.regions(regions);
         let is_stack_addr = match s.value {
             AbsVal::Exact(a) => regions.classify(a) == Region::Stack,
             _ => !val_regions.is_empty() && val_regions.is_only(Region::Stack),
         };
-        let target = s.res.regions(s.width, &regions);
+        let target = s.res.regions(s.width, regions);
         if is_stack_addr && !target.is_empty() && !target.contains(Region::Stack) {
             diags.push(Diagnostic::new(
                 LintCode::StackEscape,
@@ -200,16 +211,16 @@ pub fn analyze_memory(program: &Program) -> MemoryReport {
     }
 
     // Classify loads and emit the load-side lints.
-    let syntactic = classify_loads(program);
+    let syntactic = classify_loads_in(program, cfg);
     let mut out_loads = Vec::with_capacity(loads.len());
     for l in &loads {
-        let set = l.res.regions(l.width, &regions);
+        let set = l.res.regions(l.width, regions);
         let (class, addr) = match l.res {
             AddrRes::Exact(a) => {
                 if regions.in_image(a, l.width)
                     && !stores
                         .iter()
-                        .any(|s| s.res.may_overlap(s.width, a, l.width, &regions))
+                        .any(|s| s.res.may_overlap(s.width, a, l.width, regions))
                 {
                     (MemClass::MustConstant, Some(a))
                 } else if regions.classify(a) == Region::Stack {

@@ -23,7 +23,7 @@
 //! alongside the may-uninit check in the value-flow pass.
 
 use crate::cfg::Cfg;
-use crate::dataflow::NUM_REGS;
+use crate::dataflow::{Liveness, NUM_REGS};
 use lvp_isa::{CtrlFlow, Instr, Program};
 use std::collections::BTreeSet;
 
@@ -49,7 +49,7 @@ pub struct FlowGraph {
 /// `t0`–`t6`, `a0`–`a7`, and the corresponding FP temporaries): a call
 /// may clobber these, so the local view treats every call as defining
 /// them.
-fn is_caller_saved_slot(slot: usize) -> bool {
+pub(crate) fn is_caller_saved_slot(slot: usize) -> bool {
     if slot == 0 || slot == 32 {
         return false; // integer zero register; f0 is ft0 (caller-saved)
     }
@@ -464,7 +464,7 @@ impl Ssa {
         let nb = g.len();
         let dom = Dominators::compute(g);
         let frontiers = dom.frontiers(g);
-        let live_in = live_in_with(program, cfg, g);
+        let live_in = Liveness::compute_with(program, cfg, g).live_in;
 
         let mut values: Vec<ValueDef> =
             (0..NUM_REGS).map(|slot| ValueDef::Entry { slot }).collect();
@@ -820,58 +820,6 @@ impl Ssa {
     pub fn block_of_instr(&self, i: usize) -> usize {
         self.block_of[i]
     }
-}
-
-/// Per-block live-in register masks over an arbitrary [`FlowGraph`]
-/// view. On the raw view this matches [`crate::Liveness`]; the local
-/// view additionally treats calls as defining the caller-saved slots
-/// (a clobbered register's old value cannot be live across the call).
-fn live_in_with(program: &Program, cfg: &Cfg, g: &FlowGraph) -> Vec<u64> {
-    let text = program.text();
-    let nb = g.len();
-    let mut upward = vec![0u64; nb];
-    let mut defined = vec![0u64; nb];
-    for (b, block) in cfg.blocks().iter().enumerate() {
-        let mut def_mask = 0u64;
-        for (i, instr) in text.iter().enumerate().take(block.end).skip(block.start) {
-            for u in instr.uses() {
-                let bit = 1u64 << u.flat_index();
-                if def_mask & bit == 0 {
-                    upward[b] |= bit;
-                }
-            }
-            if let Some(d) = instr.defs() {
-                def_mask |= 1u64 << d.flat_index();
-            }
-            if g.is_call(i) {
-                for slot in 0..NUM_REGS {
-                    if is_caller_saved_slot(slot) {
-                        def_mask |= 1u64 << slot;
-                    }
-                }
-            }
-        }
-        defined[b] = def_mask;
-    }
-    let mut live_in = vec![0u64; nb];
-    let mut live_out = vec![0u64; nb];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in (0..nb).rev() {
-            let mut out = 0u64;
-            for &s in g.succs(b) {
-                out |= live_in[s];
-            }
-            let inb = upward[b] | (out & !defined[b]);
-            if out != live_out[b] || inb != live_in[b] {
-                live_out[b] = out;
-                live_in[b] = inb;
-                changed = true;
-            }
-        }
-    }
-    live_in
 }
 
 #[cfg(test)]

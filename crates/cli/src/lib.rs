@@ -35,9 +35,6 @@
 //!   --compare-lct           join static load classes vs the LCT (`check`)
 //!   --memory                provenance lints LVP007-011     (`check`)
 //!   --value-flow            value-flow lints LVP012-021     (`check`)
-//!   --static-hints          seed the LVP unit from the static
-//!                           value-flow hint table (`annotate`,
-//!                           `simulate`, `bench`)
 //!   --cross-check           static/dynamic CVU oracle       (`check`)
 //!   --format text|json      `check` output format           (default text)
 //!   --out     FILE          output path for `trace pack` and `synth`
@@ -146,10 +143,6 @@ pub struct Options {
     /// Run the value-flow pass in `check` (lints LVP012-021; with
     /// `--cross-check`, also the stride-predictor oracle).
     pub value_flow: bool,
-    /// Seed the LVP unit from the static value-flow hint table in
-    /// `annotate`/`simulate`, and every `bench` annotation through
-    /// [`lvp_harness::Engine::with_static_hints`].
-    pub static_hints: bool,
     /// Run the static/dynamic cross-check oracle in `check`.
     pub cross_check: bool,
     /// Output format for `check`.
@@ -208,7 +201,6 @@ impl Default for Options {
             compare_lct: false,
             memory: false,
             value_flow: false,
-            static_hints: false,
             cross_check: false,
             format: CheckFormat::Text,
             threads: None,
@@ -335,7 +327,6 @@ pub fn parse_options(cmd: &str, args: &[String]) -> Result<(Options, Vec<String>
             "--compare-lct" => opts.compare_lct = true,
             "--memory" => opts.memory = true,
             "--value-flow" => opts.value_flow = true,
-            "--static-hints" => opts.static_hints = true,
             "--cross-check" => opts.cross_check = true,
             "--fast" => opts.fast = true,
             "--all" => opts.all = true,
@@ -900,15 +891,6 @@ pub fn cmd_locality(target: &str, opts: &Options) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Under `--static-hints`, seeds `unit` from the program's value-flow
-/// hint table (no-op otherwise).
-fn apply_static_hints(unit: &mut LvpUnit, program: &Program, opts: &Options) {
-    if opts.static_hints {
-        let report = lvp_analyze::analyze_value_flow(program);
-        unit.apply_hints(&lvp_harness::static_hints(&report));
-    }
-}
-
 /// `lvp annotate <target>` — LVP unit statistics under `--config`.
 ///
 /// # Errors
@@ -918,7 +900,6 @@ pub fn cmd_annotate(target: &str, opts: &Options) -> Result<String, CliError> {
     let program = load_program_with(target, opts.profile, opts.opt)?;
     let (trace, _) = trace_program(&program)?;
     let mut unit = LvpUnit::new(opts.config.clone());
-    apply_static_hints(&mut unit, &program, opts);
     let _ = unit.annotate(&trace);
     let s = unit.stats();
     Ok(format!(
@@ -1077,7 +1058,7 @@ pub fn cmd_trace_verify(file: &str) -> Result<String, CliError> {
     let mut loads = 0u64;
     for entry in reader.by_ref() {
         let e = entry.map_err(|e| CliError::new(format!("{file}: {e}")))?;
-        if e.mem.is_some() && e.dst.is_some() {
+        if e.is_load() {
             loads += 1;
         }
     }
@@ -1117,9 +1098,7 @@ pub fn cmd_trace_info(file: &str) -> Result<String, CliError> {
 pub fn cmd_simulate(target: &str, opts: &Options) -> Result<String, CliError> {
     let program = load_program_with(target, opts.profile, opts.opt)?;
     let (trace, _) = trace_program(&program)?;
-    let mut unit = LvpUnit::new(opts.config.clone());
-    apply_static_hints(&mut unit, &program, opts);
-    let outcomes = unit.annotate(&trace);
+    let outcomes = LvpUnit::new(opts.config.clone()).annotate(&trace);
     let base = opts.machine.simulate(&trace, None);
     let lvp = opts.machine.simulate(&trace, Some(&outcomes));
     Ok(format!(
@@ -1131,8 +1110,8 @@ pub fn cmd_simulate(target: &str, opts: &Options) -> Result<String, CliError> {
 }
 
 /// Builds the shared harness [`lvp_harness::Engine`] from the common
-/// `--fast` / `--threads` / `--predictor` / `--static-hints` flags (used
-/// by `bench`, `characterize` and `check --all`).
+/// `--fast` / `--threads` / `--predictor` flags (used by `bench`,
+/// `characterize` and `check --all`).
 fn build_engine(opts: &Options) -> lvp_harness::Engine {
     let mut engine = if opts.fast {
         lvp_harness::Engine::fast()
@@ -1145,7 +1124,7 @@ fn build_engine(opts: &Options) -> lvp_harness::Engine {
     if let Some(kind) = opts.predictor {
         engine = engine.with_predictor(kind);
     }
-    engine.with_static_hints(opts.static_hints)
+    engine
 }
 
 /// `lvp bench` with no arguments — lists the experiment registry.
@@ -1439,28 +1418,26 @@ pub fn cmd_synth(opts: &Options) -> Result<String, CliError> {
 /// `lvp perf` — runs the in-tree microbenchmark registry (see
 /// `crates/harness/src/perf.rs`).
 ///
-/// * no flags: run everything, human-readable table; `--fast` restricts
-///   to the CI subset, `--bench NAME` (repeatable) picks benches.
+/// * no flags: run the whole registry, human-readable table;
+///   `--bench NAME` (repeatable) picks benches.
 /// * `--json`: emit the stable `lvp-perf/1` document that
 ///   `scripts/perf_gate.sh` compares across builds.
 /// * `--list`: print the registry and exit.
 ///
-/// Iteration counts are env-pinned: `LVP_PERF_ITERS` (default 5) timed
-/// iterations after `LVP_PERF_WARMUP` (default 1) warmup runs.
+/// Every bench runs 5 timed iterations after 1 warmup run
+/// ([`lvp_harness::PerfConfig::default`]).
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] (exit 2) for unknown bench names and bad
-/// iteration-count environment values.
+/// Returns [`CliError`] (exit 2) for unknown bench names.
 pub fn cmd_perf(opts: &Options) -> Result<String, CliError> {
     use lvp_harness::perf;
 
     if opts.list {
         return Ok(render_perf_list(perf::benches()));
     }
-    let cfg = lvp_harness::PerfConfig::from_env().map_err(|e| CliError::new(e.to_string()))?;
-    let selection =
-        perf::select(&opts.bench, opts.fast).map_err(|e| CliError::new(e.to_string()))?;
+    let cfg = lvp_harness::PerfConfig::default();
+    let selection = perf::select(&opts.bench).map_err(|e| CliError::new(e.to_string()))?;
     let report = perf::run(cfg, &selection, |name| {
         eprintln!(
             "[perf] {name} ({} warmup + {} iters)",
@@ -1478,10 +1455,9 @@ pub fn cmd_perf(opts: &Options) -> Result<String, CliError> {
 /// column as wide as the longest name so the descriptions line up.
 fn render_perf_list(benches: &[lvp_harness::BenchDef]) -> String {
     let w = benches.iter().map(|b| b.name.len()).max().unwrap_or(0);
-    let mut out = String::from("benches (* = fast subset):\n");
+    let mut out = String::from("benches:\n");
     for b in benches {
-        let mark = if b.fast { "*" } else { " " };
-        let _ = writeln!(out, "  {mark}{:w$} {}", b.name, b.what);
+        let _ = writeln!(out, "  {:w$} {}", b.name, b.what);
     }
     out
 }
@@ -1542,8 +1518,6 @@ pub fn usage() -> &'static str {
      \x20        --memory (provenance lints LVP007-011, with check)\n\
      \x20        --value-flow (value-flow lints LVP012-021, with check)\n\
      \x20        --cross-check (static/dynamic CVU oracle, with check)\n\
-     \x20        --static-hints (seed the LVP unit from the static\n\
-     \x20        value-flow classes; annotate/simulate/bench)\n\
      \x20        --format text|json (with check)\n\
      \x20        --out FILE (with trace pack)\n\
      \x20        --threads N  --fast  --all  --csv (with bench / check --all)\n\
@@ -1673,44 +1647,6 @@ mod tests {
         assert!(loc.contains("value locality"));
         let ann = cmd_annotate("xlisp", &opts).unwrap();
         assert!(ann.contains("accuracy"));
-    }
-
-    #[test]
-    fn annotate_with_static_hints_parses_and_runs() {
-        let (opts, rest) = parse_options(
-            "annotate",
-            &[
-                "--static-hints".to_string(),
-                "--profile".into(),
-                "gp".into(),
-            ],
-        )
-        .unwrap();
-        assert!(opts.static_hints);
-        assert!(rest.is_empty());
-        let hinted = cmd_annotate("sc", &opts).unwrap();
-        assert!(hinted.contains("accuracy"), "{hinted}");
-        // The cold run must also work and produce the same load count
-        // (hints only change warm-up, never which loads execute).
-        let cold = cmd_annotate(
-            "sc",
-            &Options {
-                static_hints: false,
-                ..opts
-            },
-        )
-        .unwrap();
-        let loads = |s: &str| {
-            s.lines()
-                .find(|l| l.starts_with("loads "))
-                .map(str::to_string)
-        };
-        let line_h = loads(&hinted).expect("hinted loads line");
-        let line_c = loads(&cold).expect("cold loads line");
-        assert_eq!(
-            line_h.split_whitespace().nth(1),
-            line_c.split_whitespace().nth(1)
-        );
     }
 
     #[test]
@@ -1880,8 +1816,10 @@ mod tests {
     #[test]
     fn removed_flags_are_unknown() {
         // There is no persistent trace cache to relocate or disable, no
-        // trace-generation engine to select, and no perf baseline check
-        // (`scripts/perf_gate.sh` compares builds on one host).
+        // trace-generation engine to select, no perf baseline check
+        // (`scripts/perf_gate.sh` compares builds on one host), and no
+        // engine-wide static-hint mode (only `ablation_hints` seeds the
+        // LVP unit from static hints).
         for (cmd, flags) in [
             ("run", &["--cache-dir", "/tmp/c"][..]),
             ("run", &["--no-disk-cache"]),
@@ -1889,6 +1827,8 @@ mod tests {
             ("perf", &["--check"]),
             ("perf", &["--baseline", "F"]),
             ("perf", &["--threshold", "60"]),
+            ("annotate", &["quick", "--static-hints"]),
+            ("bench", &["table3", "--fast", "--static-hints"]),
         ] {
             let err = parse_options(cmd, &args(flags)).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{err}");
@@ -1940,6 +1880,29 @@ mod tests {
             std::fs::read(&repack).unwrap(),
             "pack-from-source and pack-from-text-dump must agree"
         );
+    }
+
+    #[test]
+    fn trace_verify_counts_loads_into_zero() {
+        // A load into `zero` records no destination register; it is
+        // still a load, as `lvp run` counts it.
+        let src = temp_file("load-into-zero.s");
+        std::fs::write(
+            &src,
+            ".data\nv: .dword 7\n.text\nmain:\n la a0, v\n ld zero, 0(a0)\n ld a1, 0(a0)\n out a1\n halt\n",
+        )
+        .unwrap();
+        let src = src.to_str().unwrap();
+        let path = temp_file("load-into-zero.lvpt");
+        let opts = Options {
+            out: Some(path.to_str().unwrap().to_string()),
+            ..Options::default()
+        };
+        let run = cmd_run(src, &opts).unwrap();
+        assert!(run.contains(" loads 3 "), "{run}");
+        cmd_trace_pack(src, &opts).unwrap();
+        let verified = cmd_trace_verify(path.to_str().unwrap()).unwrap();
+        assert!(verified.contains(", 3 loads,"), "{verified}");
     }
 
     #[test]
@@ -2239,13 +2202,13 @@ mod tests {
                 "--bench",
                 "alias_fixpoint",
                 "--bench",
-                "sim_620_256k",
+                "sim_620_real_xlisp",
                 "--json",
                 "--list",
             ]),
         )
         .unwrap();
-        assert_eq!(o.bench, vec!["alias_fixpoint", "sim_620_256k"]);
+        assert_eq!(o.bench, vec!["alias_fixpoint", "sim_620_real_xlisp"]);
         assert!(o.json && o.list);
         assert!(pos.is_empty());
         assert!(parse_options("perf", &args(&["--bench"])).is_err());
@@ -2267,20 +2230,11 @@ mod tests {
         assert!(e.to_string().contains("nonesuch"));
     }
 
-    /// One fast bench, pinned to a single iteration for test speed.
-    fn perf_args(extra: &[&str]) -> Vec<String> {
-        std::env::set_var("LVP_PERF_ITERS", "1");
-        std::env::set_var("LVP_PERF_WARMUP", "0");
-        let mut v = args(&["perf", "--bench", "alias_fixpoint"]);
-        v.extend(args(extra));
-        v
-    }
-
     #[test]
     fn perf_json_output_is_parseable() {
         // The fields `scripts/perf_gate.sh` reads, in the writer's
         // layout (pinned by `perf::tests::json_writer_output_is_pinned`).
-        let out = dispatch(&perf_args(&["--json"])).unwrap();
+        let out = dispatch(&args(&["perf", "--bench", "alias_fixpoint", "--json"])).unwrap();
         assert!(
             out.starts_with("{\n    \"format\": \"lvp-perf/1\",\n"),
             "{out}"
@@ -2295,8 +2249,9 @@ mod tests {
             .filter_map(|l| l.trim().strip_prefix("\"samples_ns\": ["))
             .collect();
         assert_eq!(samples.len(), 1, "{out}");
-        let sample = samples[0].strip_suffix(']').expect("one line of samples");
-        assert!(sample.parse::<u64>().is_ok(), "{out}");
+        let samples = samples[0].strip_suffix(']').expect("one line of samples");
+        let parsed: Vec<u64> = samples.split(", ").map(|v| v.parse().unwrap()).collect();
+        assert_eq!(parsed.len(), 5, "{out}");
         assert!(out.ends_with("\n    ]\n}\n"), "{out}");
     }
 
@@ -2330,7 +2285,7 @@ mod tests {
             results: vec![
                 result("alias_fixpoint", 7),
                 result(long, 123_456_789),
-                result("sim_620_256k", 70_000),
+                result("sim_620_real_xlisp", 70_000),
             ],
         };
         // The numeric columns are right-aligned, so on every line
@@ -2480,9 +2435,11 @@ mod tests {
             words("quick xlisp synth-chase nonesuch prog.mc prog.s pack unpack verify info -x");
         let switches = words(
             "--json --list --lint --compare-lct --memory --value-flow \
-             --static-hints --cross-check --fast --all --csv --verify",
+             --cross-check --fast --all --csv --verify",
         );
-        let unknown = words("--bogus --engine --cache-dir --no-disk-cache --top=5 -- --PROFILE");
+        let unknown = words(
+            "--bogus --engine --cache-dir --no-disk-cache --static-hints --top=5 -- --PROFILE",
+        );
         // Every valued flag, with values some command accepts.
         let valued: &[(&str, &[&str])] = &[
             ("--profile", &["toc", "gp", "pointer-chase", "mix"]),

@@ -1,18 +1,24 @@
 //! Oversized inputs through `lvp asm` and `lvp run`: a data image larger
 //! than data memory, an array whose size overflows, and extreme operands
-//! all end in exit 2 with a typed message or in a normal result — never
-//! in an allocation abort (exit 134), a panic (exit 101) or a silently
-//! miscompiled program.
+//! all end in exit 2 with a typed message of bounded length or in a
+//! normal result — never in an allocation abort (exit 134), a panic
+//! (exit 101), a silently miscompiled program or a compiler bug report.
 
 use std::process::{Command, Output};
 
 /// Writes `source` to a temporary `name` and runs `lvp <cmd>` on it.
 fn lvp(cmd: &str, name: &str, source: &str) -> Output {
+    lvp_with(cmd, name, source, &[])
+}
+
+/// [`lvp`] with extra flags after the file.
+fn lvp_with(cmd: &str, name: &str, source: &str, flags: &[&str]) -> Output {
     let path = std::env::temp_dir().join(format!("lvp-oversized-{}-{name}", std::process::id()));
     std::fs::write(&path, source).expect("write temp source");
     let out = Command::new(env!("CARGO_BIN_EXE_lvp"))
         .arg(cmd)
         .arg(&path)
+        .args(flags)
         .output()
         .expect("run lvp");
     std::fs::remove_file(&path).ok();
@@ -80,6 +86,40 @@ fn local_array_whose_size_overflows_is_refused() {
 }
 
 #[test]
+fn globals_that_fit_only_without_the_constant_pool_are_a_user_error() {
+    // Under Toc, `g[0]` takes `g`'s address from a pool slot laid out
+    // after the 7 MiB global; under Gp there is no slot, and it runs.
+    let src = "global char g[7340032];\nfn main() { out(g[0]); }\n";
+    let out = lvp("run", "pool.mc", src);
+    assert_refused(
+        &out,
+        "error: compile error: globals and constant pool do not fit: \
+         the data image holds at most 7340032 bytes",
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("internal"), "stderr: {stderr}");
+    assert!(!stderr.contains("line"), "stderr: {stderr}");
+    let gp = lvp_with("run", "pool-gp.mc", src, &["--profile", "gp"]);
+    assert_eq!(
+        gp.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&gp.stderr)
+    );
+    assert!(String::from_utf8_lossy(&gp.stdout).starts_with("output: [0]\n"));
+}
+
+/// Asserts that the whole of stderr, echoed operand included, stays
+/// under 1 KiB.
+fn assert_short_stderr(out: &Output) {
+    assert!(
+        out.stderr.len() < 1024,
+        "{} bytes of stderr",
+        out.stderr.len()
+    );
+}
+
+#[test]
 fn operand_of_100k_nested_parentheses_is_a_typed_error() {
     let n = 100_000;
     let src = format!(
@@ -87,19 +127,23 @@ fn operand_of_100k_nested_parentheses_is_a_typed_error() {
         "(".repeat(n),
         ")".repeat(n)
     );
+    let out = lvp("asm", "parens.s", &src);
     assert_refused(
-        &lvp("asm", "parens.s", &src),
+        &out,
         "error: assembly error at line 2: expected integer expression",
     );
+    assert_short_stderr(&out);
 }
 
 #[test]
 fn operand_of_100k_minus_signs_is_a_typed_error() {
     let src = format!("main:\n li a0, {}1\n out a0\n halt\n", "-".repeat(100_000));
+    let out = lvp("asm", "minus.s", &src);
     assert_refused(
-        &lvp("asm", "minus.s", &src),
+        &out,
         "error: assembly error at line 2: expected integer expression",
     );
+    assert_short_stderr(&out);
 }
 
 #[test]

@@ -10,10 +10,11 @@
 //!   counter widths, oracle bit), never its display name, so
 //!   differently-named but identical configs share one annotation pass;
 //!   the `hinted` flag separates static-hint-seeded passes from cold
-//!   ones (see [`Engine::with_static_hints`](crate::Engine)).
-//! * **timings** — keyed by `(trace key, config content, hinted,
-//!   machine content)`; a `(trace, outcomes, machine)` simulation shared
-//!   by e.g. `fig6`, `fig9` and `table6` runs once.
+//!   ones (see [`Ctx::annotation_with_hints`](crate::Ctx)).
+//! * **timings** — keyed by `(trace key, config content, machine
+//!   content)`; a `(trace, outcomes, machine)` simulation shared by e.g.
+//!   `fig6`, `fig9` and `table6` runs once. Timings always use cold
+//!   annotations.
 //!
 //! Concurrent requests for the same key block on a per-key
 //! [`OnceLock`]: the first requester computes, the rest wait and share
@@ -204,7 +205,7 @@ impl<K: Eq + Hash + Clone, V> KeyedCache<K, V> {
 pub(crate) struct Cache {
     pub(crate) traces: KeyedCache<TraceKey, WorkloadRun>,
     pub(crate) annotations: KeyedCache<(TraceKey, ConfigKey, bool), Annotation>,
-    pub(crate) timings: KeyedCache<(TraceKey, Option<ConfigKey>, bool, String), SimResult>,
+    pub(crate) timings: KeyedCache<(TraceKey, Option<ConfigKey>, String), SimResult>,
     pub(crate) crosschecks: KeyedCache<(TraceKey, ConfigKey), CrossCheckReport>,
     pub(crate) value_flows: KeyedCache<TraceKey, ValueFlowCheckReport>,
     pub(crate) characterizations: KeyedCache<TraceKey, Characterization>,

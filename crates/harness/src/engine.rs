@@ -32,7 +32,6 @@ pub struct Engine {
     threads: usize,
     suite: Vec<Workload>,
     predictor: Option<PredictorKind>,
-    static_hints: bool,
     cache: Cache,
 }
 
@@ -58,7 +57,6 @@ impl Engine {
                 .unwrap_or(1),
             suite: lvp_workloads::suite(),
             predictor: None,
-            static_hints: false,
             cache: Cache::new(),
         }
     }
@@ -90,24 +88,6 @@ impl Engine {
     /// The predictor-kind override, if one was set.
     pub fn predictor(&self) -> Option<PredictorKind> {
         self.predictor
-    }
-
-    /// Enables static predictor hints for every annotation this engine
-    /// computes: before replaying a trace, each cell's value-flow
-    /// report is bridged to a hint table
-    /// ([`static_hints`](crate::static_hints)) and applied to the LVP
-    /// unit, seeding LCT warm-up and the hybrid arbiter. Hinted and
-    /// cold annotations are cached under distinct keys, so an A/B
-    /// comparison in one process never mixes them. The cross-check
-    /// oracle is unaffected — it always judges the cold unit.
-    pub fn with_static_hints(mut self, on: bool) -> Engine {
-        self.static_hints = on;
-        self
-    }
-
-    /// Whether static predictor hints are applied to annotations.
-    pub fn static_hints(&self) -> bool {
-        self.static_hints
     }
 
     /// Restricts the engine to a named workload subset: suite members
@@ -333,13 +313,14 @@ impl Ctx<'_> {
         opt: OptLevel,
         config: &LvpConfig,
     ) -> Result<Arc<Annotation>, HarnessError> {
-        self.annotation_with_hints(w, profile, opt, config, self.engine.static_hints)
+        self.annotation_with_hints(w, profile, opt, config, false)
     }
 
-    /// [`Ctx::annotation`] with an explicit hint switch, overriding the
-    /// engine-wide [`Engine::with_static_hints`] setting for this one
-    /// request — the A/B primitive the hints ablation is built on.
-    /// Hinted and cold passes are cached under distinct keys.
+    /// [`Ctx::annotation`] with the LVP unit optionally seeded from the
+    /// cell's value-flow report ([`static_hints`](crate::static_hints)),
+    /// which warms the LCT and the hybrid arbiter — the A/B primitive
+    /// the hints ablation is built on. Hinted and cold passes are
+    /// cached under distinct keys.
     ///
     /// # Errors
     ///
@@ -402,7 +383,6 @@ impl Ctx<'_> {
         let key = (
             Self::trace_key(w, profile, opt),
             config.map(config_key),
-            config.is_some() && self.engine.static_hints,
             machine.cache_key(),
         );
         let cache = &self.engine.cache;

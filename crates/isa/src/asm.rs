@@ -70,6 +70,7 @@ impl fmt::Display for AsmProfile {
 pub struct AsmError {
     line: usize,
     msg: String,
+    data_image_overflow: bool,
 }
 
 impl AsmError {
@@ -77,12 +78,19 @@ impl AsmError {
         AsmError {
             line,
             msg: msg.into(),
+            data_image_overflow: false,
         }
     }
 
     /// 1-based source line the error refers to (0 for file-level errors).
     pub fn line(&self) -> usize {
         self.line
+    }
+
+    /// Whether the data image, with the constant pool laid out after
+    /// it, would exceed [`MAX_DATA_IMAGE`].
+    pub fn is_data_image_overflow(&self) -> bool {
+        self.data_image_overflow
     }
 
     /// Human-readable description of the problem.
@@ -584,10 +592,13 @@ impl Pass1 {
             .and_then(|len| len.checked_add(8 * self.pool.slots.len() as u64));
         match image {
             Some(len) if len <= MAX_DATA_IMAGE => Ok(()),
-            _ => Err(AsmError::new(
-                line,
-                format!("data image exceeds {MAX_DATA_IMAGE} bytes (constant pool included)"),
-            )),
+            _ => Err(AsmError {
+                data_image_overflow: true,
+                ..AsmError::new(
+                    line,
+                    format!("data image exceeds {MAX_DATA_IMAGE} bytes (constant pool included)"),
+                )
+            }),
         }
     }
 
@@ -1189,9 +1200,14 @@ impl Pass1 {
                 return Ok(v.wrapping_add(addend));
             }
         }
+        // Echo a bounded prefix: an operand can be arbitrarily long.
+        let shown = match text.char_indices().nth(64) {
+            Some((end, _)) => format!("{}…", &text[..end]),
+            None => text.to_string(),
+        };
         Err(AsmError::new(
             line,
-            format!("expected integer expression, found `{text}`"),
+            format!("expected integer expression, found `{shown}`"),
         ))
     }
 
@@ -1746,7 +1762,9 @@ mod tests {
             (format!(".space {MAX_DATA_IMAGE}\n .asciiz \"\""), 3),
         ] {
             let src = format!(".data\nbuf: {directive}\n.text\nmain: halt\n");
-            let e = refuse(AsmProfile::Gp, &src).to_string();
+            let e = refuse(AsmProfile::Gp, &src);
+            assert!(e.is_data_image_overflow(), "{e}");
+            let e = e.to_string();
             assert!(e.contains(&format!("line {line}: {too_large}")), "{e}");
         }
         // The constant pool counts, both the slots allocated before a
@@ -1764,6 +1782,28 @@ mod tests {
             &format!(".data\nbuf: .space {MAX_DATA_IMAGE}\n.text\nmain: la a0, buf\n halt\n"),
         );
         assert_eq!(e.line(), 0);
+        assert!(e.is_data_image_overflow(), "{e}");
         assert!(e.to_string().contains(&too_large), "{e}");
+        // Other rejections are not overflows.
+        let e = refuse(AsmProfile::Gp, "main: li a0, nonesuch\n halt\n");
+        assert!(!e.is_data_image_overflow(), "{e}");
+    }
+
+    #[test]
+    fn operand_errors_echo_a_bounded_prefix() {
+        let long = format!("x{}", "(".repeat(200));
+        let e = Assembler::new(AsmProfile::Gp)
+            .assemble(&format!("main: li a0, {long}\n halt\n"))
+            .unwrap_err();
+        let echoed = &long[..64];
+        assert_eq!(
+            e.message(),
+            format!("expected integer expression, found `{echoed}…`")
+        );
+        // A short operand is echoed whole.
+        let e = Assembler::new(AsmProfile::Gp)
+            .assemble("main: li a0, x(\n halt\n")
+            .unwrap_err();
+        assert_eq!(e.message(), "expected integer expression, found `x(`");
     }
 }

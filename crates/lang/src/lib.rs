@@ -69,7 +69,7 @@ pub use optimize::{fold, optimize, OptLevel};
 pub use parser::{parse, MAX_NESTING};
 pub use token::{lex, LangError, SpannedTok, Tok};
 
-use lvp_isa::{AsmProfile, Assembler, Program};
+use lvp_isa::{AsmProfile, Assembler, Program, MAX_DATA_IMAGE};
 
 /// Compiles mini-C source to a loadable [`Program`] under the given
 /// codegen profile, without optimization (the suite default, mirroring
@@ -77,10 +77,10 @@ use lvp_isa::{AsmProfile, Assembler, Program};
 ///
 /// # Errors
 ///
-/// Returns a [`LangError`] for front-end errors. Assembly of
-/// compiler-generated code cannot fail unless the compiler itself is
-/// buggy, so assembler errors are converted into a [`LangError`] carrying
-/// the internal diagnostic.
+/// Returns a [`LangError`] for front-end errors, and for globals that
+/// fit data memory only without the constant pool laid out after them.
+/// Any other rejection of compiler-generated assembly is a compiler bug,
+/// reported as a [`LangError`] carrying the internal diagnostic.
 pub fn compile(source: &str, profile: AsmProfile) -> Result<Program, LangError> {
     compile_with(source, profile, OptLevel::O0)
 }
@@ -99,9 +99,21 @@ pub fn compile_with(
     opt: OptLevel,
 ) -> Result<Program, LangError> {
     let asm = compile_to_asm_with(source, opt)?;
-    Assembler::new(profile)
-        .assemble(&asm)
-        .map_err(|e| LangError::new(0, format!("internal: generated assembly rejected: {e}")))
+    Assembler::new(profile).assemble(&asm).map_err(|e| {
+        // The globals were bounded at their declarations; the constant
+        // pool the assembler lays out after them is what did not fit.
+        if e.is_data_image_overflow() {
+            LangError::new(
+                0,
+                format!(
+                    "globals and constant pool do not fit: the data image holds at most \
+                     {MAX_DATA_IMAGE} bytes"
+                ),
+            )
+        } else {
+            LangError::new(0, format!("internal: generated assembly rejected: {e}"))
+        }
+    })
 }
 
 /// Compiles mini-C source to LRISC assembly text (profile-independent:

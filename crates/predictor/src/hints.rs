@@ -14,7 +14,8 @@
 //!   arbitrations and a wrong hint unlearns within a few loads.
 //!
 //! The table is built in memory from each program's value-flow report
-//! and applied under `--static-hints` in the CLI and harness.
+//! and applied by the harness's hinted annotations, which only the
+//! `ablation_hints` experiment requests.
 
 use crate::predictor::PredictorKind;
 

@@ -1,26 +1,24 @@
-//! One entry point over both simulation engines: the pre-decoded
-//! fastsim backend that generates every trace, and the
-//! instruction-by-instruction interpreter it is differentially tested
-//! against.
+//! The production entry point of functional simulation: the
+//! pre-decoded fastsim engine, which generates every trace. The
+//! instruction-by-instruction interpreter ([`Machine`](crate::Machine))
+//! is not reachable from here; it stays as the differential-testing
+//! oracle that the tests run beside it.
 
 use crate::fastsim::FastSim;
-use crate::machine::{Machine, SimError};
+use crate::machine::SimError;
 use lvp_isa::Program;
 use lvp_trace::Trace;
 
-/// A functional-simulation backend.
+/// The functional-simulation backend that generates traces.
 ///
-/// Both engines produce bit-identical `TraceEntry` streams, outputs,
-/// faults, and fuel accounting; [`SimEngine::Fast`] pre-decodes the
-/// program into micro-ops, is several times faster, and generates every
-/// trace the experiments use. [`SimEngine::Interp`] is the original
-/// interpreter, retained as the differential-testing oracle.
+/// [`SimEngine::Fast`] pre-decodes the program into micro-ops and
+/// produces a `TraceEntry` stream, outputs, faults and fuel accounting
+/// bit-identical to [`Machine`](crate::Machine)'s, which the
+/// differential tests check.
 #[derive(Debug, Copy, Clone, PartialEq, Eq, Hash)]
 pub enum SimEngine {
     /// Pre-decoded micro-op engine ([`FastSim`]).
     Fast,
-    /// Instruction-by-instruction interpreter ([`Machine`]).
-    Interp,
 }
 
 impl SimEngine {
@@ -31,26 +29,13 @@ impl SimEngine {
     ///
     /// Propagates the engine's [`SimError`] (fault or out-of-fuel).
     pub fn run_traced(self, program: &Program, fuel: u64) -> Result<EngineRun, SimError> {
-        match self {
-            SimEngine::Fast => {
-                let mut m = FastSim::new(program);
-                let trace = m.run_traced(fuel)?;
-                Ok(EngineRun {
-                    trace,
-                    output: m.output().to_vec(),
-                    checksum: m.output_checksum(),
-                })
-            }
-            SimEngine::Interp => {
-                let mut m = Machine::new(program);
-                let trace = m.run_traced(fuel)?;
-                Ok(EngineRun {
-                    trace,
-                    output: m.output().to_vec(),
-                    checksum: m.output_checksum(),
-                })
-            }
-        }
+        let mut m = FastSim::new(program);
+        let trace = m.run_traced(fuel)?;
+        Ok(EngineRun {
+            trace,
+            output: m.output().to_vec(),
+            checksum: m.output_checksum(),
+        })
     }
 }
 
@@ -75,10 +60,11 @@ mod tests {
             .assemble("main: li a0, 10\n li a1, 0\nloop: add a1, a1, a0\n addi a0, a0, -1\n bnez a0, loop\n out a1\n halt\n")
             .unwrap();
         let fast = SimEngine::Fast.run_traced(&p, 10_000).unwrap();
-        let interp = SimEngine::Interp.run_traced(&p, 10_000).unwrap();
-        assert_eq!(fast.trace, interp.trace);
-        assert_eq!(fast.output, interp.output);
-        assert_eq!(fast.checksum, interp.checksum);
+        let mut interp = crate::Machine::new(&p);
+        let trace = interp.run_traced(10_000).unwrap();
+        assert_eq!(fast.trace, trace);
+        assert_eq!(fast.output, interp.output());
+        assert_eq!(fast.checksum, interp.output_checksum());
         assert_eq!(fast.output, vec![55]);
     }
 }

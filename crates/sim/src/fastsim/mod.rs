@@ -24,8 +24,8 @@ use uop::{CmpKind, Cursor, Op, ESCAPE_IDX};
 /// of the text segment; execution then dispatches dense micro-ops
 /// instead of re-decoding `Instr` variants every step.
 ///
-/// The public surface mirrors [`crate::Machine`] so the two are
-/// interchangeable behind [`crate::SimEngine`].
+/// The public surface mirrors [`crate::Machine`], so the differential
+/// tests drive the two the same way; [`crate::SimEngine`] runs this one.
 ///
 /// # Examples
 ///

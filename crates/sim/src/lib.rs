@@ -5,12 +5,12 @@
 //! [`lvp_trace::Trace`] (the paper used IBM's TRIP6000 and DEC's ATOM for
 //! this; see Section 5 of the paper).
 //!
-//! Two engines implement this phase, both reachable through
-//! [`SimEngine`]:
+//! Two engines implement this phase:
 //!
 //! * [`FastSim`] pre-decodes the program into a flat micro-op array with
 //!   fused superblock idioms and runs a tight dispatch loop; it
-//!   generates every trace the experiments use;
+//!   generates every trace the experiments use, through
+//!   [`SimEngine::run_traced`];
 //! * [`Machine`] interprets `Instr` variants one at a time and serves as
 //!   the differential-testing oracle.
 //!

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Same-host perf regression gate: compares this tree's `lvp perf --fast`
-# against the build of the commit it is based on, on the same machine.
+# Same-host perf regression gate: compares this tree's `lvp perf` bench
+# registry against the build of the commit it is based on, on the same
+# machine.
 #
 # The base commit is HEAD when the working tree has uncommitted changes
 # (the change under test is the working tree), and HEAD^ when it is
@@ -9,9 +10,9 @@
 # its own target dir, target/perf-gate/target; the export is reused
 # while the base commit stays the same.
 #
-# The two builds run their fast bench subset alternately for 5 rounds
-# (base first in odd rounds, change first in even rounds), one
-# `lvp perf --bench NAME --json` process per bench: benches that share
+# The two builds run every bench their `lvp perf --list` names
+# alternately for 5 rounds (base first in odd rounds, change first in
+# even rounds), one `lvp perf --bench NAME --json` process per bench: benches that share
 # a process share its heap, and one bench's allocations can move a
 # later bench's page-fault cost by more than half (trace generation
 # measured 12 ms after the 12 benches before it, 20 ms on its own). A
@@ -19,7 +20,8 @@
 # than 60% slower than the base's best sample. The best sample, not the
 # median: contention from other processes on a shared host only adds
 # time, so the fastest sample is the stable estimate of a build's cost.
-# Benches that only one build has are listed but not judged.
+# Benches that only one build has are listed as (new) or (dropped) but
+# not judged.
 #
 # The committed results/perf_baseline.json is a record of one host
 # (regenerated by scripts/rebaseline.sh); this gate does not read it.
@@ -50,9 +52,11 @@ cargo build --release --offline -q -p lvp-cli \
     --manifest-path "$gate/src/Cargo.toml" --target-dir "$gate/target"
 cargo build --release --offline -q -p lvp-cli
 
-# The fast subset of a build's bench registry (`*` in `lvp perf --list`).
-fast_benches() {
-    "$1" perf --list | sed -n 's/^  \*\([a-z0-9_]*\) .*/\1/p'
+# A build's whole bench registry: the names `lvp perf --list` prints
+# as `  name`, or as `  *name` and `   name` in builds that still marked
+# a fast subset.
+registry() {
+    "$1" perf --list | sed -n 's/^  [* ]\{0,1\}\([a-z0-9_][a-z0-9_]*\) .*/\1/p'
 }
 
 runs="$gate/runs"
@@ -63,7 +67,7 @@ while [ "$i" -le "$rounds" ]; do
     if [ $((i % 2)) -eq 1 ]; then order="base change"; else order="change base"; fi
     for side in $order; do
         if [ "$side" = base ]; then lvp="$gate/target/release/lvp"; else lvp=target/release/lvp; fi
-        for name in $(fast_benches "$lvp"); do
+        for name in $(registry "$lvp"); do
             "$lvp" perf --bench "$name" --json > "$runs/${side}_${i}_$name.json" 2> /dev/null
         done
     done
