@@ -12,6 +12,11 @@ cargo fmt --all --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --all-features -- -D warnings
 
+# Doc links name the public API; a link to an item that was removed or
+# made private is otherwise found by no other step.
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
+
 # The workspace suite includes the engine-differential oracle (both
 # simulation engines over all 17 benchmarks x {O0,O1}, the committed
 # golden-trace fixtures, and the seeded program-generator fuzz test).

@@ -1,4 +1,5 @@
-//! Flow-sensitive points-to analysis over base registers.
+//! Flow-sensitive points-to analysis over base registers, read as one
+//! table of per-instruction facts.
 //!
 //! An abstract interpretation of the integer register file against the
 //! lattice
@@ -29,6 +30,15 @@
 //! indexed access to an object is assumed not to walk out of the
 //! object's region (in-bounds assumption, companion to the
 //! pool-ownership assumption in [`crate::regions`]).
+//!
+//! The converged state is consumed once: [`AliasAnalysis::compute`]
+//! walks each reached block from its entry state and records what every
+//! instruction needs downstream — its memory operand resolved to an
+//! [`AddrRes`] ([`AliasAnalysis::addr`]) and the abstract value a store
+//! writes or a `jalr` jumps through ([`AliasAnalysis::value`]). The
+//! provenance pass, the value-flow pass, the call graph and the effect
+//! summaries all read that table; none of them re-runs the transfer
+//! function.
 
 use crate::cfg::Cfg;
 use crate::regions::{RegionMap, RegionSet};
@@ -67,7 +77,7 @@ impl AbsVal {
 }
 
 /// Abstract state of the 32 integer registers.
-pub type RegState = [AbsVal; 32];
+type RegState = [AbsVal; 32];
 
 /// A memory operand resolved through the abstract register state.
 #[derive(Debug, Copy, Clone, PartialEq, Eq)]
@@ -103,10 +113,18 @@ impl AddrRes {
     }
 }
 
-/// The fixed-point result: one register state per basic-block entry.
+/// The fixed-point result, as per-instruction facts: each reached
+/// instruction's resolved memory operand and the abstract value it
+/// stores or jumps through, computed once from the converged block entry
+/// states. Instructions in unreached blocks have no facts.
 #[derive(Debug, Clone)]
 pub struct AliasAnalysis {
+    /// Per block: the converged register state at its entry.
     block_in: Vec<RegState>,
+    /// Per instruction: [`AliasAnalysis::addr`].
+    addr: Vec<Option<AddrRes>>,
+    /// Per instruction: [`AliasAnalysis::value`].
+    value: Vec<Option<AbsVal>>,
 }
 
 /// Reads a register from the abstract state (`zero` is hardwired).
@@ -157,16 +175,42 @@ fn image_dword(program: &Program, addr: u64) -> Option<u64> {
 }
 
 impl AliasAnalysis {
-    /// Runs the analysis to a fixed point.
+    /// Runs the analysis to a fixed point and records every reached
+    /// instruction's facts.
     ///
-    /// Entry state: `sp` = stack top, `gp` = pool base (both
-    /// machine-initialized), everything else unknown. Unreachable
-    /// blocks keep all-`Bottom` states.
+    /// Entry state: `zero` = 0, `sp` = stack top, `gp` = pool base (all
+    /// machine-initialized), everything else unknown.
     pub fn compute(program: &Program, cfg: &Cfg, regions: &RegionMap) -> AliasAnalysis {
+        let text = program.text();
+        let mut alias = AliasAnalysis {
+            block_in: Self::fixpoint(program, cfg, regions),
+            addr: vec![None; text.len()],
+            value: vec![None; text.len()],
+        };
+        for (b, block) in cfg.blocks().iter().enumerate() {
+            if !alias.block_reached(b) {
+                continue;
+            }
+            let mut state = alias.block_in[b];
+            for (i, instr) in text.iter().enumerate().take(block.end).skip(block.start) {
+                alias.addr[i] = Self::resolve(&state, instr);
+                alias.value[i] = match *instr {
+                    Instr::Jalr { rs1, .. } => Some(read(&state, rs1)),
+                    _ => Self::stored_value(&state, instr),
+                };
+                Self::transfer(program, regions, instr, &mut state);
+            }
+        }
+        alias
+    }
+
+    /// The converged register state at every block entry. Unreachable
+    /// blocks keep all-`Bottom` states.
+    fn fixpoint(program: &Program, cfg: &Cfg, regions: &RegionMap) -> Vec<RegState> {
         let nblocks = cfg.blocks().len();
         let mut block_in = vec![[AbsVal::Bottom; 32]; nblocks];
         if nblocks == 0 {
-            return AliasAnalysis { block_in };
+            return block_in;
         }
 
         let mut entry = [AbsVal::Set(RegionSet::unknown()); 32];
@@ -203,12 +247,7 @@ impl AliasAnalysis {
                 }
             }
         }
-        AliasAnalysis { block_in }
-    }
-
-    /// The abstract register state at the entry of block `b`.
-    pub fn block_in(&self, b: usize) -> &RegState {
-        &self.block_in[b]
+        block_in
     }
 
     /// Whether block `b` was reached by the analysis.
@@ -216,8 +255,21 @@ impl AliasAnalysis {
         self.block_in[b].iter().any(|v| *v != AbsVal::Bottom)
     }
 
+    /// Instruction `i`'s memory operand, resolved against the converged
+    /// state; `None` for a non-memory instruction or an unreached block.
+    pub fn addr(&self, i: usize) -> Option<AddrRes> {
+        self.addr[i]
+    }
+
+    /// What instruction `i` stores to memory (an FP store writes an
+    /// unknown bit pattern), or the value of a `jalr`'s base register;
+    /// `None` for every other instruction and in unreached blocks.
+    pub fn value(&self, i: usize) -> Option<AbsVal> {
+        self.value[i]
+    }
+
     /// Applies one instruction's transfer function to `state`.
-    pub fn transfer(program: &Program, regions: &RegionMap, instr: &Instr, state: &mut RegState) {
+    fn transfer(program: &Program, regions: &RegionMap, instr: &Instr, state: &mut RegState) {
         let unknown = AbsVal::Set(RegionSet::unknown());
         match *instr {
             Instr::Addi { rd, rs1, imm } => {
@@ -272,7 +324,7 @@ impl AliasAnalysis {
 
     /// Resolves a memory operand against the current abstract state,
     /// returning `None` for non-memory instructions.
-    pub fn resolve(state: &RegState, instr: &Instr) -> Option<AddrRes> {
+    fn resolve(state: &RegState, instr: &Instr) -> Option<AddrRes> {
         let (base, offset) = instr.mem_operand()?;
         Some(match add_imm(read(state, base), offset as i64) {
             AbsVal::Exact(a) => AddrRes::Exact(a),
@@ -283,7 +335,7 @@ impl AliasAnalysis {
 
     /// The abstract value a store instruction writes to memory, `None`
     /// for non-stores (FP stores write an unknown bit pattern).
-    pub fn stored_value(state: &RegState, instr: &Instr) -> Option<AbsVal> {
+    fn stored_value(state: &RegState, instr: &Instr) -> Option<AbsVal> {
         match *instr {
             Instr::Sb { rs2, .. }
             | Instr::Sh { rs2, .. }
@@ -296,10 +348,15 @@ impl AliasAnalysis {
 }
 
 #[cfg(test)]
+#[path = "../tests/hostile_fixtures/mod.rs"]
+mod hostile_fixtures;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::regions::Region;
     use lvp_isa::{AsmProfile, Assembler};
+    use lvp_lang::{compile_with, OptLevel};
 
     fn analyze(profile: AsmProfile, src: &str) -> (Program, Cfg, RegionMap, AliasAnalysis) {
         let p = Assembler::new(profile).assemble(src).unwrap();
@@ -309,44 +366,35 @@ mod tests {
         (p, cfg, regions, alias)
     }
 
-    /// Walks to the state just before instruction index `i`.
-    fn state_at(
-        p: &Program,
-        cfg: &Cfg,
-        regions: &RegionMap,
-        alias: &AliasAnalysis,
-        i: usize,
-    ) -> RegState {
-        let b = cfg.block_of(i);
-        let mut state = *alias.block_in(b);
-        for j in cfg.blocks()[b].start..i {
-            AliasAnalysis::transfer(p, regions, &p.text()[j], &mut state);
-        }
-        state
-    }
-
     #[test]
     fn entry_registers_are_exact() {
-        let (p, cfg, regions, alias) = analyze(AsmProfile::Gp, "main:\n sd zero, -8(sp)\n halt\n");
-        let st = state_at(&p, &cfg, &regions, &alias, 0);
+        let (p, _, _, alias) = analyze(
+            AsmProfile::Gp,
+            "main:\n sd zero, -8(sp)\n sd sp, -16(sp)\n sd gp, -24(sp)\n halt\n",
+        );
         assert_eq!(
-            read(&st, Reg::SP),
-            AbsVal::Exact(p.layout().stack_top()),
+            alias.addr(0),
+            Some(AddrRes::Exact(p.layout().stack_top() - 8)),
             "sp is machine-initialized"
         );
-        assert_eq!(read(&st, Reg::GP), AbsVal::Exact(p.pool_base()));
-        let res = AliasAnalysis::resolve(&st, &p.text()[0]).unwrap();
-        assert_eq!(res, AddrRes::Exact(p.layout().stack_top() - 8));
         // Pin agreement with the shared ABI helper: the entry state is
         // exactly the machine-initialized values, nothing more.
-        for (reg, value) in lvp_isa::abi::entry_register_values(&p) {
-            assert_eq!(read(&st, reg), AbsVal::Exact(value), "{reg:?}");
+        for (i, (reg, value)) in lvp_isa::abi::entry_register_values(&p)
+            .into_iter()
+            .enumerate()
+        {
+            assert!(
+                matches!(p.text()[i], Instr::Sd { rs2, .. } if rs2 == reg),
+                "{reg:?}"
+            );
+            assert_eq!(alias.value(i), Some(AbsVal::Exact(value)), "{reg:?}");
         }
+        assert_eq!((alias.addr(3), alias.value(3)), (None, None), "halt");
     }
 
     #[test]
     fn toc_la_resolves_through_pool_image() {
-        let (p, cfg, regions, alias) = analyze(
+        let (p, _, _, alias) = analyze(
             AsmProfile::Toc,
             ".data\nv: .dword 42\n.text\nmain:\n la a0, v\n ld a1, 0(a0)\n out a1\n halt\n",
         );
@@ -359,11 +407,9 @@ mod tests {
             .nth(1)
             .unwrap()
             .0;
-        let st = state_at(&p, &cfg, &regions, &alias, i);
-        let res = AliasAnalysis::resolve(&st, &p.text()[i]).unwrap();
         assert_eq!(
-            res,
-            AddrRes::Exact(p.symbol("v").unwrap()),
+            alias.addr(i),
+            Some(AddrRes::Exact(p.symbol("v").unwrap())),
             "pool-indirect la must resolve to the symbol address"
         );
     }
@@ -374,13 +420,10 @@ mod tests {
         // not exact but provably a stack address.
         let src = "main:\n addi sp, sp, -16\n jal ra, f\n jal ra, f\n addi sp, sp, 16\n halt\n\
                    f:\n addi sp, sp, -32\n sd a0, 0(sp)\n ld a0, 0(sp)\n addi sp, sp, 32\n jalr zero, ra, 0\n";
-        let (p, cfg, regions, alias) = analyze(AsmProfile::Gp, src);
+        let (p, _, regions, alias) = analyze(AsmProfile::Gp, src);
         let f_idx = ((p.symbol("f").unwrap() - p.layout().text_base()) / 4) as usize;
         // The store inside f is two instructions after its entry.
-        let store_idx = f_idx + 1;
-        let st = state_at(&p, &cfg, &regions, &alias, store_idx);
-        let res = AliasAnalysis::resolve(&st, &p.text()[store_idx]).unwrap();
-        match res {
+        match alias.addr(f_idx + 1).unwrap() {
             AddrRes::Set(s) => assert!(
                 s.contains(Region::Stack) && !s.contains(Region::ConstPool),
                 "frame operand must stay within non-pool regions: {s}"
@@ -395,16 +438,68 @@ mod tests {
 
     #[test]
     fn unknown_base_excludes_pool() {
-        let (p, cfg, regions, alias) = analyze(
+        let (p, _, _, alias) = analyze(
             AsmProfile::Gp,
             "main:\n li a0, 1\n add a2, a1, a1\n sd a0, 0(a2)\n out a0\n halt\n",
         );
         let store = p.text().iter().position(|i| i.is_store()).unwrap();
-        let st = state_at(&p, &cfg, &regions, &alias, store);
-        let res = AliasAnalysis::resolve(&st, &p.text()[store]).unwrap();
-        match res {
+        match alias.addr(store).unwrap() {
             AddrRes::Set(s) => assert!(!s.contains(Region::ConstPool), "{s}"),
             AddrRes::Exact(_) => panic!("computed store must not be exact"),
+        }
+    }
+
+    /// Checks the fact table against a replay from scratch: walking each
+    /// reached block from its converged entry state gives every
+    /// instruction's `addr` and `value`, and an unreached instruction has
+    /// neither. The `jalr` reference reads the raw `zero` slot, which the
+    /// entry state pins to 0 on every reached path.
+    fn assert_table_matches_replay(p: &Program, what: &str) {
+        let cfg = Cfg::build(p);
+        let regions = RegionMap::new(p);
+        let alias = AliasAnalysis::compute(p, &cfg, &regions);
+        for (b, block) in cfg.blocks().iter().enumerate() {
+            let mut state = alias.block_in[b];
+            let reached = state.iter().any(|v| *v != AbsVal::Bottom);
+            assert_eq!(alias.block_reached(b), reached, "{what}: block {b}");
+            for i in block.start..block.end {
+                let instr = &p.text()[i];
+                let (addr, value) = if reached {
+                    let value = match *instr {
+                        Instr::Jalr { rs1, .. } => Some(state[rs1.number() as usize]),
+                        _ => AliasAnalysis::stored_value(&state, instr),
+                    };
+                    (AliasAnalysis::resolve(&state, instr), value)
+                } else {
+                    (None, None)
+                };
+                assert_eq!(alias.addr(i), addr, "{what}: addr of `{instr}` at {i}");
+                assert_eq!(alias.value(i), value, "{what}: value of `{instr}` at {i}");
+                AliasAnalysis::transfer(p, &regions, instr, &mut state);
+            }
+        }
+    }
+
+    #[test]
+    fn fact_table_matches_a_replay_on_the_suite_and_hostile_cfgs() {
+        for w in lvp_workloads::suite() {
+            for profile in [AsmProfile::Toc, AsmProfile::Gp] {
+                for opt in [OptLevel::O0, OptLevel::O1] {
+                    let p = compile_with(w.source, profile, opt).unwrap();
+                    assert_table_matches_replay(&p, &format!("{} {profile:?} {opt:?}", w.name));
+                }
+            }
+        }
+        let hostile = [
+            hostile_fixtures::IRREDUCIBLE.to_string(),
+            hostile_fixtures::IRREDUCIBLE_UNINIT_READ.to_string(),
+            hostile_fixtures::JALR_ONLY_FUNCTION.to_string(),
+            hostile_fixtures::irreducible_mesh(40),
+            hostile_fixtures::MUTUAL_RECURSION.to_string(),
+        ];
+        for (k, src) in hostile.iter().enumerate() {
+            let p = Assembler::new(AsmProfile::Gp).assemble(src).unwrap();
+            assert_table_matches_replay(&p, &format!("hostile fixture {k}"));
         }
     }
 

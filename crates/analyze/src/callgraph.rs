@@ -34,8 +34,6 @@
 //! recursion.
 
 use crate::alias::{AbsVal, AliasAnalysis};
-use crate::cfg::Cfg;
-use crate::regions::RegionMap;
 use lvp_isa::{CtrlFlow, Instr, Program, INSTR_BYTES, TEXT_BASE};
 use std::collections::BTreeSet;
 
@@ -96,13 +94,8 @@ pub struct CallGraph {
 
 impl CallGraph {
     /// Builds the call graph, bounding indirect calls with the alias
-    /// fixpoint (computed over `regions`, `program`'s region map).
-    pub fn build(
-        program: &Program,
-        cfg: &Cfg,
-        regions: &RegionMap,
-        alias: &AliasAnalysis,
-    ) -> CallGraph {
+    /// fixpoint's value of each `jalr`'s base register.
+    pub fn build(program: &Program, alias: &AliasAnalysis) -> CallGraph {
         let text = program.text();
         let n = text.len();
         let index_of = |pc: u64| -> Option<usize> {
@@ -183,21 +176,6 @@ impl CallGraph {
             .map(|(k, _)| k)
             .collect();
 
-        // --- Per-instruction alias states, for jalr bounding. ---
-        let mut target_val: Vec<Option<AbsVal>> = vec![None; n];
-        for (b, block) in cfg.blocks().iter().enumerate() {
-            if !alias.block_reached(b) {
-                continue;
-            }
-            let mut state = *alias.block_in(b);
-            for i in block.start..block.end {
-                if let Instr::Jalr { rs1, .. } = text[i] {
-                    target_val[i] = Some(state[rs1.number() as usize]);
-                }
-                AliasAnalysis::transfer(program, regions, &text[i], &mut state);
-            }
-        }
-
         // --- Call sites and edges. ---
         let nf = functions.len();
         let mut sites: Vec<CallSite> = Vec::new();
@@ -238,7 +216,7 @@ impl CallGraph {
                 }
                 CtrlFlow::IndirectJump { base, offset } => {
                     let linking = matches!(*instr, Instr::Jalr { rd, .. } if !rd.is_zero());
-                    let exact = match target_val[i] {
+                    let exact = match alias.value(i) {
                         Some(AbsVal::Exact(a)) => {
                             index_of(a.wrapping_add(offset as u64) & !1).map(&func_of)
                         }
@@ -466,6 +444,8 @@ fn tarjan(n: usize, edges: &[BTreeSet<usize>]) -> (Vec<Vec<usize>>, Vec<usize>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cfg::Cfg;
+    use crate::regions::RegionMap;
     use lvp_isa::{AsmProfile, Assembler};
 
     fn graph(src: &str) -> (Program, CallGraph) {
@@ -473,7 +453,7 @@ mod tests {
         let cfg = Cfg::build(&p);
         let regions = RegionMap::new(&p);
         let alias = AliasAnalysis::compute(&p, &cfg, &regions);
-        let cg = CallGraph::build(&p, &cfg, &regions, &alias);
+        let cg = CallGraph::build(&p, &alias);
         (p, cg)
     }
 

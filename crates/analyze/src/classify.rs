@@ -128,11 +128,6 @@ impl ValueFlowReport {
             .count()
     }
 
-    /// The class of the load at `pc`, if the pass saw one there.
-    pub fn class_of(&self, pc: u64) -> Option<LoadPredictability> {
-        self.loads.iter().find(|l| l.pc == pc).map(|l| l.class)
-    }
-
     /// The affine-stride loads as `(pc, stride)` pairs — the claims the
     /// harness stride-predictor cross-check gates dynamically.
     pub fn affine_claims(&self) -> Vec<(u64, i64)> {
@@ -218,7 +213,7 @@ pub fn analyze_value_flow(program: &Program) -> ValueFlowReport {
     // --- LVP015 part 1: structural SSA verification on both views. ---
     let raw = FlowGraph::raw(&cfg);
     let raw_dom = Dominators::compute(&raw);
-    let raw_ssa = Ssa::build(program, &cfg, &raw);
+    let raw_ssa = Ssa::build(program, &cfg, &raw, &raw_dom);
     for e in raw_ssa.verify(&raw, &raw_dom) {
         diags.push(Diagnostic::new(
             LintCode::SsaInconsistency,
@@ -228,7 +223,7 @@ pub fn analyze_value_flow(program: &Program) -> ValueFlowReport {
     }
     let local = FlowGraph::local(program, &cfg);
     let dom = Dominators::compute(&local);
-    let ssa = Ssa::build(program, &cfg, &local);
+    let ssa = Ssa::build(program, &cfg, &local, &dom);
     for e in ssa.verify(&local, &dom) {
         diags.push(Diagnostic::new(
             LintCode::SsaInconsistency,
@@ -287,24 +282,10 @@ pub fn analyze_value_flow(program: &Program) -> ValueFlowReport {
         .map(|l| l.pc)
         .collect();
 
-    // --- Address resolution per instruction (alias fixpoint replay, as
-    // in the provenance pass). ---
-    let mut res_of: Vec<Option<AddrRes>> = vec![None; text.len()];
-    for (b, block) in cfg.blocks().iter().enumerate() {
-        if !alias.block_reached(b) {
-            continue;
-        }
-        let mut state = *alias.block_in(b);
-        for i in block.start..block.end {
-            res_of[i] = AliasAnalysis::resolve(&state, &text[i]);
-            AliasAnalysis::transfer(program, &regions, &text[i], &mut state);
-        }
-    }
-
     // --- Interprocedural layer: call graph, effect summaries, and the
     // lints only a whole-program view can produce. ---
-    let cg = CallGraph::build(program, &cfg, &regions, &alias);
-    let summaries = SummaryTable::compute(program, &cfg, &alias, &cg, &regions);
+    let cg = CallGraph::build(program, &alias);
+    let summaries = SummaryTable::compute(program, &alias, &cg, &regions);
     let site_target: BTreeMap<usize, &CallTarget> =
         cg.sites().iter().map(|s| (s.instr, &s.target)).collect();
 
@@ -327,7 +308,7 @@ pub fn analyze_value_flow(program: &Program) -> ValueFlowReport {
     let mut exact_stores: Vec<(u64, u8, u64, usize)> = Vec::new(); // (addr, width, pc, func)
     for (i, instr) in text.iter().enumerate() {
         if instr.is_store() {
-            if let Some(AddrRes::Exact(addr)) = res_of[i] {
+            if let Some(AddrRes::Exact(addr)) = alias.addr(i) {
                 let w = instr.mem_width().map(|w| w.bytes() as u8).unwrap_or(8);
                 exact_stores.push((addr, w, cfg.pc_of(i), cg.function_of_instr(i)));
             }
@@ -338,14 +319,16 @@ pub fn analyze_value_flow(program: &Program) -> ValueFlowReport {
         if !instr.is_load() {
             continue;
         }
-        let Some(AddrRes::Exact(addr)) = res_of[i] else {
+        let Some(AddrRes::Exact(addr)) = alias.addr(i) else {
             continue;
         };
         let w = instr.mem_width().map(|w| w.bytes() as u8).unwrap_or(8);
         let lf = cg.function_of_instr(i);
-        let hit = exact_stores
+        let first = exact_stores.partition_point(|&(a, sw, _, _)| (a, sw) < (addr, w));
+        let hit = exact_stores[first..]
             .iter()
-            .find(|&&(a, sw, _, sf)| a == addr && sw == w && sf != lf);
+            .take_while(|&&(a, sw, _, _)| (a, sw) == (addr, w))
+            .find(|&&(_, _, _, sf)| sf != lf);
         if let Some(&(_, _, store_pc, sf)) = hit {
             let sname = cg.functions()[sf].name.as_deref().unwrap_or("?");
             diags.push(Diagnostic::new(
@@ -402,8 +385,7 @@ pub fn analyze_value_flow(program: &Program) -> ValueFlowReport {
         let mut stores: Vec<(Access, bool)> = Vec::new();
         for &b in &lp.body {
             let block = &cfg.blocks()[b];
-            for i in block.start..block.end {
-                let instr = &text[i];
+            for (i, instr) in text.iter().enumerate().take(block.end).skip(block.start) {
                 let Some((_, offset)) = instr.mem_operand() else {
                     continue;
                 };
@@ -423,7 +405,7 @@ pub fn analyze_value_flow(program: &Program) -> ValueFlowReport {
                     base,
                     offset,
                     width: w,
-                    res: res_of[i],
+                    res: alias.addr(i),
                 };
                 if instr.is_load() {
                     loads.push((acc, inv));
@@ -598,7 +580,7 @@ pub fn analyze_value_flow(program: &Program) -> ValueFlowReport {
             loads_out.push(VfLoad {
                 pc,
                 class,
-                pinned: matches!(res_of[i], Some(AddrRes::Exact(_))),
+                pinned: matches!(alias.addr(i), Some(AddrRes::Exact(_))),
             });
         }
     }
@@ -976,6 +958,41 @@ mod tests {
         assert!(
             !codes(&twin).contains(&LintCode::InterprocStoreToLoad),
             "{twin:?}"
+        );
+    }
+
+    #[test]
+    fn lvp021_names_the_lowest_pc_store_from_another_function() {
+        // The cell is stored by the load's own function first, then by
+        // `b` and `a` in text order: the lint names `b`'s store.
+        let p = Assembler::new(AsmProfile::Gp)
+            .assemble(
+                ".data\ng: .dword 0\n.text\nmain:\n la t0, g\n sd zero, 0(t0)\n jal ra, a\n \
+                 jal ra, b\n la a0, g\n ld a1, 0(a0)\n out a1\n halt\n\
+                 b:\n la t0, g\n sd zero, 0(t0)\n jalr zero, ra, 0\n\
+                 a:\n la t0, g\n sd zero, 0(t0)\n jalr zero, ra, 0\n",
+            )
+            .unwrap();
+        let pc_of = |i: usize| p.layout().text_base() + 4 * i as u64;
+        let b_entry = ((p.symbol("b").unwrap() - p.layout().text_base()) / 4) as usize;
+        let b_store = (b_entry..p.text().len())
+            .find(|&i| p.text()[i].is_store())
+            .unwrap();
+        let load = p.text().iter().position(|i| i.is_load()).unwrap();
+        let r = analyze_value_flow(&p);
+        let hits: Vec<&Diagnostic> = r
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == LintCode::InterprocStoreToLoad)
+            .collect();
+        let [d] = hits.as_slice() else {
+            panic!("expected one LVP021: {r:?}");
+        };
+        assert_eq!(d.pc, pc_of(load), "{d:?}");
+        assert!(
+            d.message
+                .contains(&format!("function `b`'s store at {:#x}", pc_of(b_store))),
+            "{d:?}"
         );
     }
 

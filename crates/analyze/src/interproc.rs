@@ -16,9 +16,8 @@
 
 use crate::alias::{AddrRes, AliasAnalysis};
 use crate::callgraph::CallGraph;
-use crate::cfg::Cfg;
 use crate::regions::{RegionMap, RegionSet};
-use lvp_isa::Program;
+use lvp_isa::{Program, INSTR_BYTES};
 
 /// Cap on the exactly-resolved store list carried per summary; past it,
 /// exact stores degrade into their regions (sound, less precise).
@@ -126,36 +125,31 @@ impl SummaryTable {
     /// transitively in callee-first SCC order.
     pub fn compute(
         program: &Program,
-        cfg: &Cfg,
         alias: &AliasAnalysis,
         cg: &CallGraph,
         regions: &RegionMap,
     ) -> SummaryTable {
-        let text = program.text();
         let nf = cg.functions().len();
 
-        // --- Direct (own-store) effects, via alias-state replay. ---
+        // --- Direct (own-store) effects of every reached store. ---
         let mut direct: Vec<FnSummary> = vec![FnSummary::default(); nf];
-        for (b, block) in cfg.blocks().iter().enumerate() {
-            if !alias.block_reached(b) {
+        for (i, instr) in program.text().iter().enumerate() {
+            if !instr.is_store() {
                 continue;
             }
-            let mut state = *alias.block_in(b);
-            for (i, instr) in text.iter().enumerate().take(block.end).skip(block.start) {
-                if instr.is_store() {
-                    let f = cg.function_of_instr(i);
-                    match AliasAnalysis::resolve(&state, instr) {
-                        Some(AddrRes::Exact(a)) => {
-                            let w = instr.mem_width().map(|w| w.bytes() as u8).unwrap_or(8);
-                            direct[f].exact_stores.push((a, w, cfg.pc_of(i)));
-                        }
-                        Some(AddrRes::Set(rs)) if !rs.is_empty() => {
-                            direct[f].store_regions = direct[f].store_regions.union(rs);
-                        }
-                        _ => direct[f].has_unknown_store = true,
-                    }
+            let f = cg.function_of_instr(i);
+            match alias.addr(i) {
+                // Unreached: no effect.
+                None => {}
+                Some(AddrRes::Exact(a)) => {
+                    let w = instr.mem_width().map(|w| w.bytes() as u8).unwrap_or(8);
+                    let pc = program.layout().text_base() + i as u64 * INSTR_BYTES;
+                    direct[f].exact_stores.push((a, w, pc));
                 }
-                AliasAnalysis::transfer(program, regions, instr, &mut state);
+                Some(AddrRes::Set(rs)) if !rs.is_empty() => {
+                    direct[f].store_regions = direct[f].store_regions.union(rs);
+                }
+                Some(AddrRes::Set(_)) => direct[f].has_unknown_store = true,
             }
         }
         for d in &mut direct {
@@ -213,6 +207,7 @@ impl SummaryTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cfg::Cfg;
     use crate::regions::Region;
     use lvp_isa::{AsmProfile, Assembler};
 
@@ -221,8 +216,8 @@ mod tests {
         let cfg = Cfg::build(&p);
         let regions = RegionMap::new(&p);
         let alias = AliasAnalysis::compute(&p, &cfg, &regions);
-        let cg = CallGraph::build(&p, &cfg, &regions, &alias);
-        let table = SummaryTable::compute(&p, &cfg, &alias, &cg, &regions);
+        let cg = CallGraph::build(&p, &alias);
+        let table = SummaryTable::compute(&p, &alias, &cg, &regions);
         (p, cg, table, regions)
     }
 
@@ -321,27 +316,18 @@ mod tests {
              f:\n la t0, a\n sd zero, 0(t0)\n jalr zero, ra, 0\n\
              g:\n la t0, b\n li t1, 3\n sd t1, 0(t0)\n jalr zero, ra, 0\n";
         let (p, cg, t, regions) = table(src);
-        let cfg = Cfg::build(&p);
-        let alias = AliasAnalysis::compute(&p, &cfg, &regions);
-        for (b, block) in cfg.blocks().iter().enumerate() {
-            if !alias.block_reached(b) {
+        let alias = AliasAnalysis::compute(&p, &Cfg::build(&p), &regions);
+        for (i, instr) in p.text().iter().enumerate() {
+            if !instr.is_store() {
                 continue;
             }
-            let mut state = *alias.block_in(b);
-            for i in block.start..block.end {
-                let instr = &p.text()[i];
-                if instr.is_store() {
-                    if let Some(AddrRes::Exact(addr)) = AliasAnalysis::resolve(&state, instr) {
-                        let w = instr.mem_width().map(|w| w.bytes() as u8).unwrap_or(8);
-                        let f = cg.function_of_instr(i);
-                        assert!(
-                            t.summary(f).may_touch(addr, w, &regions),
-                            "summary of fn {f} misses own store at {:#x}",
-                            cfg.pc_of(i)
-                        );
-                    }
-                }
-                AliasAnalysis::transfer(&p, &regions, instr, &mut state);
+            if let Some(AddrRes::Exact(addr)) = alias.addr(i) {
+                let w = instr.mem_width().map(|w| w.bytes() as u8).unwrap_or(8);
+                let f = cg.function_of_instr(i);
+                assert!(
+                    t.summary(f).may_touch(addr, w, &regions),
+                    "summary of fn {f} misses own store at index {i}"
+                );
             }
         }
     }

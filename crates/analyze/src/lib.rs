@@ -120,7 +120,7 @@ mod scev;
 mod ssa;
 mod verify;
 
-pub use alias::{AbsVal, AddrRes, AliasAnalysis, RegState};
+pub use alias::{AbsVal, AddrRes, AliasAnalysis};
 pub use callgraph::{CallGraph, CallSite, CallTarget, Function};
 pub use cfg::{BadBranch, BasicBlock, Cfg};
 pub use classify::{

@@ -21,6 +21,7 @@ use crate::diag::{sort_and_dedupe, Diagnostic, LintCode};
 use crate::loads::{classify_loads_in, StaticLoadClass};
 use crate::regions::{Region, RegionMap, RegionSet};
 use lvp_isa::Program;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Provenance class of one static load.
@@ -104,6 +105,50 @@ struct LoadSite {
     forwarded_from: Option<u64>,
 }
 
+/// Every store site, indexed for the must-constant test: whether any
+/// store may write a byte of `[addr, addr + width)`, exactly as testing
+/// [`AddrRes::may_overlap`] against each site would answer.
+struct StoreIndex {
+    /// The exact stores' distinct `(addr, width)` pairs, sorted.
+    exact: Vec<(u64, u8)>,
+    /// The widest exact store: only stores starting in
+    /// `(addr - widest, addr + width)` can overlap `[addr, addr + width)`.
+    widest: u8,
+    /// The union of the region-set stores' regions.
+    sets: RegionSet,
+}
+
+impl StoreIndex {
+    fn new(stores: &[StoreSite]) -> StoreIndex {
+        let mut exact = Vec::new();
+        let mut sets = RegionSet::empty();
+        for s in stores {
+            match s.res {
+                AddrRes::Exact(a) => exact.push((a, s.width)),
+                AddrRes::Set(rs) => sets = sets.union(rs),
+            }
+        }
+        exact.sort_unstable();
+        exact.dedup();
+        let widest = exact.iter().map(|s| s.1).max().unwrap_or(0);
+        StoreIndex {
+            exact,
+            widest,
+            sets,
+        }
+    }
+
+    fn may_write(&self, addr: u64, width: u8, regions: &RegionMap) -> bool {
+        let lo = addr.saturating_sub(self.widest as u64);
+        let first = self.exact.partition_point(|&(a, _)| a < lo);
+        AddrRes::Set(self.sets).may_overlap(width, addr, width, regions)
+            || self.exact[first..]
+                .iter()
+                .take_while(|&&(a, _)| (a as u128) < addr as u128 + width as u128)
+                .any(|&(a, w)| AddrRes::Exact(a).may_overlap(w, addr, width, regions))
+    }
+}
+
 /// Runs the provenance pass: points-to fixpoint, load classification,
 /// and the memory lints.
 pub fn analyze_memory(program: &Program) -> MemoryReport {
@@ -124,42 +169,31 @@ pub(crate) fn analyze_memory_with(
     let text = program.text();
     let text_base = program.layout().text_base();
 
-    // Resolve every reachable memory operand by replaying the transfer
-    // function through each block from its fixpoint entry state.
+    // Collect every reachable memory operand from the alias fact table.
     let mut stores: Vec<StoreSite> = Vec::new();
     let mut loads: Vec<LoadSite> = Vec::new();
-    for (b, block) in cfg.blocks().iter().enumerate() {
-        if !alias.block_reached(b) {
-            continue;
-        }
-        let mut state = *alias.block_in(b);
-        // Exact (addr, width, pc) stores seen so far in this block, for
-        // the store-to-load-forwarding candidate lint.
-        let mut block_stores: Vec<(u64, u8, u64)> = Vec::new();
+    for block in cfg.blocks() {
+        // The latest store to each exact (addr, width) so far in this
+        // block, for the store-to-load-forwarding candidate lint.
+        let mut block_stores: BTreeMap<(u64, u8), u64> = BTreeMap::new();
         for (i, instr) in text.iter().enumerate().take(block.end).skip(block.start) {
             let pc = text_base + i as u64 * 4;
-            if let (Some(res), Some(w)) = (
-                AliasAnalysis::resolve(&state, instr),
-                instr.mem_width().map(|w| w.bytes() as u8),
-            ) {
+            if let (Some(res), Some(w)) =
+                (alias.addr(i), instr.mem_width().map(|w| w.bytes() as u8))
+            {
                 if instr.is_store() {
                     stores.push(StoreSite {
                         pc,
                         res,
                         width: w,
-                        value: AliasAnalysis::stored_value(&state, instr)
-                            .unwrap_or(AbsVal::Set(RegionSet::unknown())),
+                        value: alias.value(i).unwrap_or(AbsVal::Set(RegionSet::unknown())),
                     });
                     if let AddrRes::Exact(a) = res {
-                        block_stores.push((a, w, pc));
+                        block_stores.insert((a, w), pc);
                     }
                 } else if instr.is_load() {
                     let forwarded_from = match res {
-                        AddrRes::Exact(a) => block_stores
-                            .iter()
-                            .rev()
-                            .find(|(sa, sw, _)| *sa == a && *sw == w)
-                            .map(|(_, _, spc)| *spc),
+                        AddrRes::Exact(a) => block_stores.get(&(a, w)).copied(),
                         AddrRes::Set(_) => None,
                     };
                     loads.push(LoadSite {
@@ -170,7 +204,6 @@ pub(crate) fn analyze_memory_with(
                     });
                 }
             }
-            AliasAnalysis::transfer(program, regions, instr, &mut state);
         }
     }
 
@@ -212,16 +245,13 @@ pub(crate) fn analyze_memory_with(
 
     // Classify loads and emit the load-side lints.
     let syntactic = classify_loads_in(program, cfg);
+    let stored = StoreIndex::new(&stores);
     let mut out_loads = Vec::with_capacity(loads.len());
     for l in &loads {
         let set = l.res.regions(l.width, regions);
         let (class, addr) = match l.res {
             AddrRes::Exact(a) => {
-                if regions.in_image(a, l.width)
-                    && !stores
-                        .iter()
-                        .any(|s| s.res.may_overlap(s.width, a, l.width, regions))
-                {
+                if regions.in_image(a, l.width) && !stored.may_write(a, l.width, regions) {
                     (MemClass::MustConstant, Some(a))
                 } else if regions.classify(a) == Region::Stack {
                     (MemClass::StackLocal, Some(a))
@@ -254,10 +284,8 @@ pub(crate) fn analyze_memory_with(
             // LVP010: provenance proves the load constant but the
             // syntactic classifier (what `--compare-lct` uses) does not.
             let syn = syntactic
-                .iter()
-                .find(|s| s.pc == l.pc)
-                .map(|s| s.class)
-                .unwrap_or(StaticLoadClass::Computed);
+                .binary_search_by_key(&l.pc, |s| s.pc)
+                .map_or(StaticLoadClass::Computed, |k| syntactic[k].class);
             if syn != StaticLoadClass::Constant {
                 diags.push(Diagnostic::new(
                     LintCode::MisclassifiedConstant,
@@ -461,6 +489,40 @@ mod tests {
             !codes(&twin).contains(&LintCode::StoreToLoadForward),
             "{twin:?}"
         );
+    }
+
+    /// Byte-range edge cases of the must-constant store lookup, as
+    /// fire/twin pairs: the class of the one load in `main` after each
+    /// store set (Gp profile, so `la` loads nothing). The set stores join
+    /// two exact addresses at a branch into their region set.
+    #[test]
+    fn must_constant_lookup_byte_range_edge_cases() {
+        use MemClass::{MustConstant, Unknown};
+        let head =
+            ".data\nf: .dword 1\ng: .dword 2\nh: .dword 3\n.text\nmain:\n la a0, g\n li a2, 9\n";
+        let set = " beq a2, zero, o\n addi a3, X\n j s\no:\n addi a3, Y\ns:\n sd a2, 0(a3)\n ld a1, 0(a0)";
+        let over_f_and_h = set.replace('X', "a0, -8").replace('Y', "a0, 8");
+        let over_stack = set.replace('X', "sp, -8").replace('Y', "sp, -16");
+        #[rustfmt::skip]
+        let cases = [
+            ("sb into the middle of g", " sb a2, 3(a0)\n ld a1, 0(a0)", Unknown),
+            ("sb just past g", " sb a2, 8(a0)\n ld a1, 0(a0)", MustConstant),
+            ("sd over g's first byte", " sb a2, -8(a0)\n sd a2, -4(a0)\n ld a1, 0(a0)", Unknown),
+            ("sd ending where g starts", " sb a2, 8(a0)\n sd a2, -8(a0)\n ld a1, 0(a0)", MustConstant),
+            ("sd covering a narrow load", " sd a2, 0(a0)\n lb a1, 3(a0)", Unknown),
+            ("sd from a narrow load's end", " sd a2, 8(a0)\n lb a1, 7(a0)", MustConstant),
+            ("set store over f and h", over_f_and_h.as_str(), Unknown),
+            ("set store over two stack slots", over_stack.as_str(), MustConstant),
+            ("sd at u64::MAX - 3", " li a3, -4\n sd a2, 0(a3)\n ld a1, 0(a0)", MustConstant),
+            ("sd at u64::MAX - 3 and sb into g", " li a3, -4\n sd a2, 0(a3)\n sb a2, 7(a0)\n ld a1, 0(a0)", Unknown),
+        ];
+        for (what, body, want) in cases {
+            let r = report(AsmProfile::Gp, &format!("{head}{body}\n out a1\n halt\n"));
+            let [l] = r.loads.as_slice() else {
+                panic!("{what}: expected one load: {r:?}");
+            };
+            assert_eq!(l.class, want, "{what}: {r:?}");
+        }
     }
 
     #[test]

@@ -421,7 +421,7 @@ mod tests {
         );
         let g = FlowGraph::local(&p, &cfg);
         let dom = Dominators::compute(&g);
-        let ssa = Ssa::build(&p, &cfg, &g);
+        let ssa = Ssa::build(&p, &cfg, &g, &dom);
         let forest = LoopForest::compute(&g, &dom);
         assert_eq!(forest.loops().len(), 1);
         let lp = &forest.loops()[0];
@@ -444,7 +444,7 @@ mod tests {
         );
         let g = FlowGraph::local(&p, &cfg);
         let dom = Dominators::compute(&g);
-        let ssa = Ssa::build(&p, &cfg, &g);
+        let ssa = Ssa::build(&p, &cfg, &g, &dom);
         let forest = LoopForest::compute(&g, &dom);
         let lp = &forest.loops()[0];
         let mut scev = ScalarEvolution::new(&p, &ssa, lp);
@@ -461,7 +461,7 @@ mod tests {
         );
         let g = FlowGraph::local(&p, &cfg);
         let dom = Dominators::compute(&g);
-        let ssa = Ssa::build(&p, &cfg, &g);
+        let ssa = Ssa::build(&p, &cfg, &g, &dom);
         let forest = LoopForest::compute(&g, &dom);
         let lp = &forest.loops()[0];
         let mut scev = ScalarEvolution::new(&p, &ssa, lp);
@@ -478,7 +478,7 @@ mod tests {
         );
         let g = FlowGraph::local(&p, &cfg);
         let dom = Dominators::compute(&g);
-        let ssa = Ssa::build(&p, &cfg, &g);
+        let ssa = Ssa::build(&p, &cfg, &g, &dom);
         let forest = LoopForest::compute(&g, &dom);
         let lp = &forest.loops()[0];
         let mut scev = ScalarEvolution::new(&p, &ssa, lp);
@@ -497,7 +497,7 @@ mod tests {
         );
         let g = FlowGraph::local(&p, &cfg);
         let dom = Dominators::compute(&g);
-        let ssa = Ssa::build(&p, &cfg, &g);
+        let ssa = Ssa::build(&p, &cfg, &g, &dom);
         let forest = LoopForest::compute(&g, &dom);
         assert_eq!(forest.loops().len(), 1);
         let lp = &forest.loops()[0];

@@ -384,7 +384,7 @@ pub enum ValueDef {
     /// The synthetic definition modelling register slot `slot`'s state at
     /// program entry (possibly uninitialized).
     Entry {
-        /// The register slot ([`RegId::flat_index`]).
+        /// The register slot ([`RegId::flat_index`](lvp_isa::RegId::flat_index)).
         slot: usize,
     },
     /// The value written by instruction `instr`.
@@ -457,12 +457,11 @@ pub struct Ssa {
 
 impl Ssa {
     /// Builds pruned SSA for `program` over the graph view `g` (block
-    /// structure from `cfg`).
-    pub fn build(program: &Program, cfg: &Cfg, g: &FlowGraph) -> Ssa {
+    /// structure from `cfg`), whose dominator tree is `dom`.
+    pub fn build(program: &Program, cfg: &Cfg, g: &FlowGraph, dom: &Dominators) -> Ssa {
         let text = program.text();
         let n = text.len();
         let nb = g.len();
-        let dom = Dominators::compute(g);
         let frontiers = dom.frontiers(g);
         let live_in = Liveness::compute_with(program, cfg, g).live_in;
 
@@ -835,7 +834,7 @@ mod tests {
         let p = assemble(src);
         let cfg = Cfg::build(&p);
         let g = FlowGraph::raw(&cfg);
-        let ssa = Ssa::build(&p, &cfg, &g);
+        let ssa = Ssa::build(&p, &cfg, &g, &Dominators::compute(&g));
         (p, cfg, g, ssa)
     }
 
@@ -944,7 +943,7 @@ mod tests {
         );
         let cfg = Cfg::build(&p);
         let g = FlowGraph::local(&p, &cfg);
-        let ssa = Ssa::build(&p, &cfg, &g);
+        let ssa = Ssa::build(&p, &cfg, &g, &Dominators::compute(&g));
         // After the call, t0 (caller-saved) is a clobber value; s1
         // (callee-saved) still sees its def.
         let add_idx = 3;

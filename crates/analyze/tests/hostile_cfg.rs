@@ -3,6 +3,11 @@
 //! points-to lattice) must terminate and stay sound on shapes that break
 //! structured-loop assumptions.
 
+mod hostile_fixtures;
+
+use hostile_fixtures::{
+    irreducible_mesh, IRREDUCIBLE, IRREDUCIBLE_UNINIT_READ, JALR_ONLY_FUNCTION, MUTUAL_RECURSION,
+};
 use lvp_analyze::{analyze_memory, verify, AliasAnalysis, Cfg, LintCode, RegionMap};
 use lvp_isa::{AsmProfile, Assembler, Program};
 
@@ -13,26 +18,6 @@ fn assemble(src: &str) -> Program {
 fn codes(p: &Program) -> Vec<LintCode> {
     verify(p).iter().map(|d| d.code).collect()
 }
-
-/// A classic irreducible region: two loop bodies branching into each
-/// other's middles, entered from both sides.
-const IRREDUCIBLE: &str = "main:
- li a0, 10
- li a1, 0
- beq a0, zero, right
-left:
- addi a1, a1, 1
- addi a0, a0, -1
- bne a0, zero, right
- j done
-right:
- addi a1, a1, 2
- addi a0, a0, -1
- bne a0, zero, left
-done:
- out a1
- halt
-";
 
 #[test]
 fn irreducible_loop_verifies_clean() {
@@ -49,23 +34,7 @@ fn irreducible_loop_verifies_clean() {
 fn irreducible_loop_still_catches_uninit_read() {
     // Same shape, but `left` reads `a2`, which is never written anywhere:
     // the cross edges must not launder the missing definition.
-    let p = assemble(
-        "main:
- li a0, 10
- beq a0, zero, right
-left:
- add a1, a2, a2
- addi a0, a0, -1
- bne a0, zero, right
- j done
-right:
- addi a0, a0, -1
- bne a0, zero, left
-done:
- out a0
- halt
-",
-    );
+    let p = assemble(IRREDUCIBLE_UNINIT_READ);
     assert!(codes(&p).contains(&LintCode::UninitRead));
 }
 
@@ -88,17 +57,7 @@ fn jalr_only_function_is_reachable_and_defs_flow_back() {
     // `helper` is reached only through a computed `jalr`; the CFG's
     // conservative indirect edges must keep it reachable, and `a0`'s
     // definition inside it must reach the `out` after the call.
-    let p = assemble(
-        "main:
- la t0, helper
- jalr ra, t0, 0
- out a0
- halt
-helper:
- li a0, 5
- jalr zero, ra, 0
-",
-    );
+    let p = assemble(JALR_ONLY_FUNCTION);
     let c = codes(&p);
     assert!(!c.contains(&LintCode::UnreachableBlock), "{c:?}");
     assert!(!c.contains(&LintCode::UninitRead), "{c:?}");
@@ -110,16 +69,7 @@ fn generated_irreducible_mesh_terminates() {
     // falling through: a dense irreducible mesh. All fixed points must
     // converge (bounded lattices + monotone transfers), not just on
     // nice reducible CFGs.
-    let n = 40usize;
-    let mut src = String::from("main:\n li a0, 100\n");
-    for i in 0..n {
-        let target = (i * 17 + 5) % n;
-        src.push_str(&format!(
-            "b{i}:\n addi a0, a0, -1\n bne a0, zero, b{target}\n"
-        ));
-    }
-    src.push_str(" out a0\n halt\n");
-    let p = assemble(&src);
+    let p = assemble(&irreducible_mesh(40));
     // Runs the full verifier (reaching defs + liveness) and the
     // provenance pass (points-to) to their fixed points.
     let c = codes(&p);
@@ -132,53 +82,18 @@ fn generated_irreducible_mesh_terminates() {
 fn mutual_recursion_through_jalr_return_edges() {
     // Mutually recursive calls whose returns are all conservative jalr
     // edges; sp joins to a stack-region set rather than diverging.
-    let p = assemble(
-        "main:
- li a0, 3
- jal ra, even
- out a0
- halt
-even:
- addi sp, sp, -16
- sd ra, 8(sp)
- beq a0, zero, even_done
- addi a0, a0, -1
- jal ra, odd
-even_done:
- ld ra, 8(sp)
- addi sp, sp, 16
- jalr zero, ra, 0
-odd:
- addi sp, sp, -16
- sd ra, 8(sp)
- addi a0, a0, -1
- jal ra, even
- ld ra, 8(sp)
- addi sp, sp, 16
- jalr zero, ra, 0
-",
-    );
+    let p = assemble(MUTUAL_RECURSION);
     let cfg = Cfg::build(&p);
     let regions = RegionMap::new(&p);
     // Termination on the call web is the point; also every frame access
     // must resolve to something (no empty-set operands in reached code).
     let alias = AliasAnalysis::compute(&p, &cfg, &regions);
-    for (b, block) in cfg.blocks().iter().enumerate() {
-        if !alias.block_reached(b) {
-            continue;
-        }
-        let mut state = *alias.block_in(b);
-        for i in block.start..block.end {
-            let instr = &p.text()[i];
-            if instr.is_load() || instr.is_store() {
-                let res = AliasAnalysis::resolve(&state, instr).unwrap();
-                let w = instr.mem_width().unwrap().bytes() as u8;
-                assert!(
-                    !res.regions(w, &regions).is_empty(),
-                    "empty region set for mem op at block {b} index {i}"
-                );
-            }
-            AliasAnalysis::transfer(&p, &regions, instr, &mut state);
+    for (i, instr) in p.text().iter().enumerate() {
+        if let (Some(res), Some(w)) = (alias.addr(i), instr.mem_width()) {
+            assert!(
+                !res.regions(w.bytes() as u8, &regions).is_empty(),
+                "empty region set for mem op at index {i}"
+            );
         }
     }
 }

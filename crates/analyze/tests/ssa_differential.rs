@@ -12,6 +12,11 @@
 //! verifier's external ground truth (`LVP015` guards it in production;
 //! this test guards `LVP015`).
 
+mod hostile_fixtures;
+
+use hostile_fixtures::{
+    irreducible_mesh, IRREDUCIBLE, IRREDUCIBLE_UNINIT_READ, JALR_ONLY_FUNCTION, MUTUAL_RECURSION,
+};
 use lvp_analyze::{
     Cfg, Dominators, FlowGraph, LoopForest, ReachingDefs, ScalarEvolution, Ssa, SsaSite,
 };
@@ -20,41 +25,6 @@ use std::collections::BTreeSet;
 
 fn assemble(src: &str) -> Program {
     Assembler::new(AsmProfile::Gp).assemble(src).unwrap()
-}
-
-/// A classic irreducible region: two loop bodies branching into each
-/// other's middles, entered from both sides (same shape as
-/// `hostile_cfg.rs`).
-const IRREDUCIBLE: &str = "main:
- li a0, 10
- li a1, 0
- beq a0, zero, right
-left:
- addi a1, a1, 1
- addi a0, a0, -1
- bne a0, zero, right
- j done
-right:
- addi a1, a1, 2
- addi a0, a0, -1
- bne a0, zero, left
-done:
- out a1
- halt
-";
-
-/// The 40-block pseudo-random mesh from `hostile_cfg.rs`: each block
-/// branches to `(i*17 + 5) % n` and falls through.
-fn mesh_source(n: usize) -> String {
-    let mut src = String::from("main:\n li a0, 100\n");
-    for i in 0..n {
-        let target = (i * 17 + 5) % n;
-        src.push_str(&format!(
-            "b{i}:\n addi a0, a0, -1\n bne a0, zero, b{target}\n"
-        ));
-    }
-    src.push_str(" out a0\n halt\n");
-    src
 }
 
 /// Seeded CFG generator: `blocks` basic blocks over registers `a0..a5`,
@@ -144,7 +114,7 @@ fn assert_ssa_matches_reaching_defs(program: &Program) {
     let cfg = Cfg::build(program);
     let g = FlowGraph::raw(&cfg);
     let dom = Dominators::compute(&g);
-    let ssa = Ssa::build(program, &cfg, &g);
+    let ssa = Ssa::build(program, &cfg, &g, &dom);
     let errors = ssa.verify(&g, &dom);
     assert!(errors.is_empty(), "SSA verifier: {errors:?}");
     let rd = ReachingDefs::compute(program, &cfg);
@@ -178,7 +148,7 @@ fn differential_irreducible() {
 
 #[test]
 fn differential_mesh_40() {
-    assert_ssa_matches_reaching_defs(&assemble(&mesh_source(40)));
+    assert_ssa_matches_reaching_defs(&assemble(&irreducible_mesh(40)));
 }
 
 #[test]
@@ -197,14 +167,22 @@ fn differential_generated_cfgs() {
 fn ssa_verifies_on_both_views_for_hostile_shapes() {
     // The local (call-summarized, multi-root) view must also build and
     // self-verify on irreducible and generated shapes.
-    let mut sources = vec![IRREDUCIBLE.to_string(), mesh_source(40)];
+    let mut sources: Vec<String> = [
+        IRREDUCIBLE,
+        IRREDUCIBLE_UNINIT_READ,
+        JALR_ONLY_FUNCTION,
+        MUTUAL_RECURSION,
+    ]
+    .map(String::from)
+    .into();
+    sources.push(irreducible_mesh(40));
     sources.extend((0..4u64).map(|s| generated_source(s, 14)));
     for src in &sources {
         let p = assemble(src);
         let cfg = Cfg::build(&p);
         for g in [FlowGraph::raw(&cfg), FlowGraph::local(&p, &cfg)] {
             let dom = Dominators::compute(&g);
-            let ssa = Ssa::build(&p, &cfg, &g);
+            let ssa = Ssa::build(&p, &cfg, &g, &dom);
             let errors = ssa.verify(&g, &dom);
             assert!(errors.is_empty(), "SSA verifier: {errors:?}\n{src}");
         }
@@ -218,12 +196,12 @@ fn loop_forest_and_scev_terminate_on_irreducible_mesh() {
     // cross edges that make the region irreducible simply aren't back
     // edges. SCEV over every value of every detected loop must
     // terminate (memoized cycle guard) without panicking.
-    for src in [mesh_source(40), generated_source(3, 20)] {
+    for src in [irreducible_mesh(40), generated_source(3, 20)] {
         let p = assemble(&src);
         let cfg = Cfg::build(&p);
         let g = FlowGraph::local(&p, &cfg);
         let dom = Dominators::compute(&g);
-        let ssa = Ssa::build(&p, &cfg, &g);
+        let ssa = Ssa::build(&p, &cfg, &g, &dom);
         let forest = LoopForest::compute(&g, &dom);
         for lp in forest.loops() {
             assert!(

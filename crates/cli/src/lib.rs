@@ -344,22 +344,13 @@ pub fn parse_options(cmd: &str, args: &[String]) -> Result<(Options, Vec<String>
     Ok((opts, positional))
 }
 
-/// Resolves a program argument: a workload name, a `.mc` mini-C file, or
-/// a `.s` assembly file.
+/// Resolves a program argument: a workload name, a `.mc` mini-C file
+/// (compiled at `opt`), or a `.s` assembly file.
 ///
 /// # Errors
 ///
 /// Returns [`CliError`] if the name is unknown, the file is unreadable,
 /// or compilation/assembly fails.
-pub fn load_program(target: &str, profile: AsmProfile) -> Result<Program, CliError> {
-    load_program_with(target, profile, OptLevel::O0)
-}
-
-/// [`load_program`] with an explicit mini-C optimization level.
-///
-/// # Errors
-///
-/// Same conditions as [`load_program`].
 pub fn load_program_with(
     target: &str,
     profile: AsmProfile,
@@ -1862,7 +1853,7 @@ mod tests {
         assert!(info.contains("per-block CRC32"), "{info}");
 
         // The unpacked text dump matches a direct in-process dump.
-        let program = load_program("quick", AsmProfile::Toc).unwrap();
+        let program = load_program_with("quick", AsmProfile::Toc, OptLevel::O0).unwrap();
         let (trace, _) = trace_program(&program).unwrap();
         assert_eq!(cmd_trace_unpack(file).unwrap(), dump_text(&trace));
 

@@ -317,7 +317,7 @@ impl Ctx<'_> {
     }
 
     /// [`Ctx::annotation`] with the LVP unit optionally seeded from the
-    /// cell's value-flow report ([`static_hints`](crate::static_hints)),
+    /// cell's value-flow report ([`static_hints`]),
     /// which warms the LCT and the hybrid arbiter — the A/B primitive
     /// the hints ablation is built on. Hinted and cold passes are
     /// cached under distinct keys.

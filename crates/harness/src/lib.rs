@@ -15,7 +15,7 @@
 //! * [`Report`] / [`ExperimentTable`] / [`Cell`] — structured results
 //!   separated from rendering; the classic fixed-width text output is
 //!   one renderer ([`Report::render_text`]), CSV another.
-//! * [`experiments`] — the registry of all paper experiments (tables,
+//! * [`experiments`](mod@experiments) — the registry of all paper experiments (tables,
 //!   figures, ablations), each a thin declarative plan. The `lvp bench`
 //!   subcommand dispatches through it.
 //!

@@ -41,7 +41,7 @@ impl<const ORDER: usize> Level1<ORDER> {
 ///
 /// The zoo's [`crate::PredictorKind::Context`] runs the default order 4;
 /// the predictor-family ablation runs order 2. Both levels index
-/// through the shared [`crate::index`] helpers so a table-geometry
+/// through the shared `crate::index` helpers so a table-geometry
 /// sweep means the same thing here as in the LVPT.
 #[derive(Debug, Clone)]
 pub struct ContextBackend<const ORDER: usize = 4> {

@@ -31,7 +31,7 @@ impl StoreToLoadBackend {
     }
 
     /// The table index for a memory access at `addr` (word-granular,
-    /// like every table index in the zoo — see [`crate::index`]).
+    /// like every table index in the zoo — see `crate::index`).
     #[inline]
     pub fn index(&self, addr: u64) -> usize {
         word_index(addr, self.mask)

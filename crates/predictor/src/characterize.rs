@@ -26,7 +26,7 @@
 //! * **LCT-class stability** — a fresh 2-bit saturating counter is
 //!   trained on last-value correctness in each trace half; a PC is
 //!   *stable* when both halves converge to the same
-//!   [`LoadClass`](crate::LoadClass) (PCs alive in only one half are
+//!   [`LoadClass`] (PCs alive in only one half are
 //!   unstable by definition — they are phase behavior).
 //!
 //! The per-benchmark aggregate is the load-weighted **predictability

@@ -57,7 +57,7 @@ impl Lvpt {
     }
 
     /// The table index for a load at `pc` (word-indexed, untagged; the
-    /// shared [`crate::index::word_index`] every zoo table uses).
+    /// shared `crate::index::word_index` every zoo table uses).
     #[inline]
     pub fn index(&self, pc: u64) -> usize {
         word_index(pc, self.mask)

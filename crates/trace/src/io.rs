@@ -285,7 +285,7 @@ pub(crate) fn kind_inconsistency(e: &TraceEntry) -> Option<&'static str> {
 /// Writes a trace in the **LVPT v2** block format. A `&mut`
 /// reference works as a writer too.
 ///
-/// Records are grouped into blocks of up to [`BLOCK_ENTRIES`] entries;
+/// Records are grouped into blocks of up to `BLOCK_ENTRIES` entries;
 /// each block carries its byte length and a CRC-32 over its record
 /// bytes, and the header carries the total payload length, so readers
 /// can both stream and integrity-check without buffering the file.

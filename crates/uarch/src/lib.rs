@@ -16,7 +16,7 @@
 //! and [`SimResult`] with the Figure 7/8 statistics.
 //!
 //! The models consume the LVP unit's per-load *verdicts*
-//! ([`PredOutcome`]) and never the predictor's tables: any backend of
+//! ([`PredOutcome`](lvp_trace::PredOutcome)) and never the predictor's tables: any backend of
 //! the predictor zoo (`lvp_predictor::PredictorKind`) — last-value,
 //! stride, context, store-to-load, or the hybrid — times identically
 //! here for the same outcome sequence, so a backend swap changes *which*
