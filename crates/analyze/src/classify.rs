@@ -39,7 +39,7 @@ use crate::callgraph::{CallGraph, CallTarget};
 use crate::cfg::Cfg;
 use crate::diag::{sort_and_dedupe, Diagnostic, LintCode};
 use crate::interproc::{FnSummary, SummaryTable};
-use crate::provenance::{analyze_memory_with, MemClass};
+use crate::provenance::{analyze_memory_with, MemClass, MemoryReport};
 use crate::regions::RegionMap;
 use crate::scev::{Evolution, LoopForest, ScalarEvolution};
 use crate::ssa::{Dominators, FlowGraph, Ssa, ValueId};
@@ -205,6 +205,14 @@ fn provably_disjoint(
 /// on both graph views, natural loops and scalar evolution on the local
 /// view, and the per-load predictability classification.
 pub fn analyze_value_flow(program: &Program) -> ValueFlowReport {
+    analyze_value_flow_and_memory(program).0
+}
+
+/// [`analyze_value_flow`], together with the provenance report the pass
+/// computes on the way: the same report as
+/// [`analyze_memory`](crate::analyze_memory), without a second run of
+/// the provenance pass.
+pub fn analyze_value_flow_and_memory(program: &Program) -> (ValueFlowReport, MemoryReport) {
     let text = program.text();
     let cfg = Cfg::build(program);
     let mut diags: Vec<Diagnostic> = Vec::new();
@@ -586,10 +594,11 @@ pub fn analyze_value_flow(program: &Program) -> ValueFlowReport {
     }
 
     sort_and_dedupe(&mut diags);
-    ValueFlowReport {
+    let report = ValueFlowReport {
         loads: loads_out,
         diagnostics: diags,
-    }
+    };
+    (report, mem)
 }
 
 /// `LVP014`: loads the static pass left *unknown* that a trained LCT

@@ -124,7 +124,8 @@ pub use alias::{AbsVal, AddrRes, AliasAnalysis};
 pub use callgraph::{CallGraph, CallSite, CallTarget, Function};
 pub use cfg::{BadBranch, BasicBlock, Cfg};
 pub use classify::{
-    analyze_value_flow, lvp014_diagnostics, LoadPredictability, ValueFlowReport, VfLoad,
+    analyze_value_flow, analyze_value_flow_and_memory, lvp014_diagnostics, LoadPredictability,
+    ValueFlowReport, VfLoad,
 };
 pub use dataflow::{BitSet, DefSite, Liveness, ReachingDefs, NUM_REGS};
 pub use diag::{sort_and_dedupe, Diagnostic, LintCode};

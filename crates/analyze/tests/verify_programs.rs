@@ -2,7 +2,10 @@
 //! assembler profiles, both optimization levels must verify clean, and
 //! seeded bugs must produce the expected lint codes.
 
-use lvp_analyze::{classify_loads, verify, LctComparison, LintCode, StaticLoadClass};
+use lvp_analyze::{
+    analyze_memory, analyze_value_flow, analyze_value_flow_and_memory, classify_loads, verify,
+    LctComparison, LintCode, StaticLoadClass,
+};
 use lvp_isa::{AsmProfile, Assembler};
 use lvp_lang::{compile_with, OptLevel};
 use lvp_predictor::presets;
@@ -24,6 +27,32 @@ fn all_workloads_verify_clean_both_profiles_and_opt_levels() {
                     "workload `{}` ({profile:?}, {opt:?}) has diagnostics:\n{}",
                     w.name,
                     diags.iter().map(|d| format!("  {d}\n")).collect::<String>()
+                );
+            }
+        }
+    }
+}
+
+/// The provenance report the value-flow pass hands back is the one
+/// `analyze_memory` computes on its own, and the value-flow report is
+/// unchanged by handing it back.
+#[test]
+fn value_flow_hands_back_the_provenance_report() {
+    for w in suite() {
+        for profile in PROFILES {
+            for opt in [OptLevel::O0, OptLevel::O1] {
+                let program = compile_with(w.source, profile, opt).unwrap();
+                let (vf, memory) = analyze_value_flow_and_memory(&program);
+                let cell = format!("{}/{profile:?}/{opt:?}", w.name);
+                assert_eq!(
+                    format!("{memory:?}"),
+                    format!("{:?}", analyze_memory(&program)),
+                    "{cell}"
+                );
+                assert_eq!(
+                    format!("{vf:?}"),
+                    format!("{:?}", analyze_value_flow(&program)),
+                    "{cell}"
                 );
             }
         }

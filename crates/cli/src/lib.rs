@@ -470,6 +470,8 @@ fn render_diagnostics(target: &str, diags: &[lvp_analyze::Diagnostic]) -> String
 /// needs a trace and never appears here). The combined list is
 /// canonicalized by [`lvp_analyze::sort_and_dedupe`]; the provenance and
 /// value-flow reports come back too, so no caller runs a pass twice.
+/// With both flags the provenance report is the one the value-flow pass
+/// computes on its way.
 fn static_diagnostics(
     program: &Program,
     opts: &Options,
@@ -479,10 +481,15 @@ fn static_diagnostics(
     Option<lvp_analyze::ValueFlowReport>,
 ) {
     let mut diags = lvp_analyze::verify(program);
-    let memory = opts.memory.then(|| lvp_analyze::analyze_memory(program));
-    let value_flow = opts
-        .value_flow
-        .then(|| lvp_analyze::analyze_value_flow(program));
+    let (value_flow, memory) = if opts.value_flow {
+        let (vf, memory) = lvp_analyze::analyze_value_flow_and_memory(program);
+        (Some(vf), opts.memory.then_some(memory))
+    } else {
+        (
+            None,
+            opts.memory.then(|| lvp_analyze::analyze_memory(program)),
+        )
+    };
     if let Some(m) = &memory {
         diags.extend_from_slice(&m.diagnostics);
     }
@@ -735,7 +742,8 @@ pub fn cmd_check(target: &str, opts: &Options) -> Result<String, CliError> {
 /// at every profile × opt level cell (`--fast` restricts to the smoke
 /// subset). With `--cross-check`, every cell is additionally traced
 /// through the shared [`lvp_harness::Engine`] (parallel, trace-cached
-/// like `bench`) and the static/dynamic oracle must hold in each.
+/// like `bench`) and the static/dynamic oracle must hold in each. The
+/// text report ends with the `memory:` line `bench` ends with.
 ///
 /// # Errors
 ///
@@ -839,6 +847,7 @@ pub fn cmd_check_all(opts: &Options) -> Result<String, CliError> {
                 rs.len()
             );
         }
+        out.push_str(&memory_line(&engine));
         out
     };
 
@@ -1220,13 +1229,18 @@ pub fn cmd_bench(names: &[String], opts: &Options) -> Result<String, CliError> {
         engine.threads(),
         if engine.threads() == 1 { "" } else { "s" },
     );
-    let peak = peak_rss_bytes().map_or("n/a".to_string(), |b| format!("{:.0} MB", b as f64 / 1e6));
-    let _ = writeln!(
-        out,
-        "memory: peak rss {peak}, traces {:.0} MB",
-        engine.trace_bytes() as f64 / 1e6
-    );
+    out.push_str(&memory_line(&engine));
     Ok(out)
+}
+
+/// The `memory:` line that ends `lvp bench` and `lvp check --all`: the
+/// process's peak RSS and the bytes of the traces `engine` holds.
+fn memory_line(engine: &lvp_harness::Engine) -> String {
+    let peak = peak_rss_bytes().map_or("n/a".to_string(), |b| format!("{:.0} MB", b as f64 / 1e6));
+    format!(
+        "memory: peak rss {peak}, traces {:.0} MB\n",
+        engine.trace_bytes() as f64 / 1e6
+    )
 }
 
 /// The process's peak resident set size (`VmHWM` in `/proc/self/status`),
@@ -1980,6 +1994,41 @@ mod tests {
         assert!(err.to_string().contains("table99"), "{err}");
     }
 
+    /// `line` is a `memory:` line with a peak RSS (or `n/a`) and no
+    /// trace bytes.
+    fn assert_no_trace_memory_line(line: &str, out: &str) {
+        let peak = line
+            .strip_prefix("memory: peak rss ")
+            .and_then(|l| l.strip_suffix(", traces 0 MB"));
+        assert!(
+            peak.is_some_and(|p| p == "n/a"
+                || p.strip_suffix(" MB")
+                    .is_some_and(|n| n.parse::<u64>().is_ok())),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn check_all_text_ends_with_the_memory_line() {
+        let opts = Options {
+            all: true,
+            fast: true,
+            threads: Some(2),
+            ..Options::default()
+        };
+        let out = cmd_check_all(&opts).unwrap();
+        let last: Vec<&str> = out.lines().rev().take(2).collect();
+        assert_eq!(last[1], "check: 16 cell(s), 0 diagnostics", "{out}");
+        assert_no_trace_memory_line(last[0], &out);
+
+        let json = cmd_check_all(&Options {
+            format: CheckFormat::Json,
+            ..opts
+        })
+        .unwrap();
+        assert!(json.ends_with("]}\n") && !json.contains("memory"), "{json}");
+    }
+
     #[test]
     fn bench_runs_static_experiments_with_timing_and_stats() {
         let opts = Options {
@@ -2003,15 +2052,7 @@ mod tests {
         // The run ends with the stages line, then the memory line.
         let last: Vec<&str> = out.lines().rev().take(2).collect();
         assert!(last[1].starts_with("stages:"), "{out}");
-        let peak = last[0]
-            .strip_prefix("memory: peak rss ")
-            .and_then(|l| l.strip_suffix(", traces 0 MB"));
-        assert!(
-            peak.is_some_and(|p| p == "n/a"
-                || p.strip_suffix(" MB")
-                    .is_some_and(|n| n.parse::<u64>().is_ok())),
-            "{out}"
-        );
+        assert_no_trace_memory_line(last[0], &out);
 
         let csv = cmd_bench(
             &args(&["table2"]),

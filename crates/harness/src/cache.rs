@@ -260,7 +260,7 @@ impl Cache {
         }
     }
 
-    /// Bytes held by the cached traces' columns.
+    /// Bytes held by the cached traces (`Trace::heap_bytes`).
     pub(crate) fn trace_bytes(&self) -> u64 {
         self.traces.sum_values(|run| run.trace.heap_bytes() as u64)
     }

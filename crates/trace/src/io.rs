@@ -172,6 +172,7 @@ pub(crate) fn encoded_len(e: &TraceEntry) -> u64 {
 }
 
 /// Appends one encoded record to `out`.
+#[inline]
 pub(crate) fn encode_entry(out: &mut Vec<u8>, e: &TraceEntry) {
     out.extend_from_slice(&e.pc.to_le_bytes());
     let mut flags = 0u8;

@@ -1,12 +1,27 @@
 //! The in-memory trace layout (DESIGN.md §6.3).
 //!
-//! A [`Trace`](crate::Trace) keeps two columns instead of a
-//! `Vec<TraceEntry>` (56 bytes per entry):
+//! Across the executions of one static instruction, only its memory
+//! access's `addr` and `value` change: kind, registers, access width and
+//! the branch event of a given outcome are fixed per pc. So instead of a
+//! `Vec<TraceEntry>` (56 bytes per entry) a [`Trace`](crate::Trace)
+//! keeps:
 //!
-//! * one 32-bit [`OpWord`] per entry, holding every fixed-size field;
-//! * one stream of `u64` payload words, in entry order. For each entry
-//!   it holds the pc if the entry overrides it, then the memory access's
-//!   `addr` and `value`, then the branch `target`.
+//! * a **table** of *static records*, each an entry without its `addr`
+//!   and `value`, kept pre-decoded as a [`TraceEntry`] whose `addr` and
+//!   `value` are 0. Each distinct record is stored once, with ids 0–0xFFFE
+//!   in first-occurrence order, so equal entry sequences give equal
+//!   traces whatever the hash order;
+//! * an **id column**: one 16-bit [`RecordId`] per entry;
+//! * a **payload** of `u64` words in entry order: the `addr` and then the
+//!   `value` of each memory access.
+//!
+//! **The escape.** The table holds at most 65,535 records. An entry that
+//! brings a new record once it is full is stored as id 0xFFFF, with its
+//! static fields in the payload ahead of its access: the pc, the packed
+//! word below, and the branch target when it has a branch event. An
+//! entry therefore costs at most 2 + 24 + 16 = 42 bytes. No suite trace
+//! comes near the cap (the largest table holds 3,550 records); it bounds
+//! traces read from outside and hand-built ones.
 //!
 //! ```text
 //! bits  0..4   kind (wire byte, as in LVPT)
@@ -18,20 +33,20 @@
 //! bit  28      access targets the fp register file
 //! bit  29      branch event present
 //! bit  30      branch taken
-//! bit  31      pc override: the entry's pc is in the payload
 //! ```
 //!
-//! An entry's pc is stored only when it differs from what the previous
-//! entry predicts: its branch target, or its pc + 4 when it had no
-//! branch event (the first entry is predicted at pc 0). A real trace
-//! needs one override, at its first entry, so an entry costs 4 bytes
-//! plus 16 per memory access and 8 per branch event.
+//! A record is keyed by its pc, that word and its branch target. `push`
+//! first tries the two records that last followed the previous entry's
+//! record, and looks the key up in a map only when both guesses miss.
 //!
-//! The columns represent exactly the entries LVPT v2 round-trips:
+//! The layout represents exactly the entries LVPT v2 round-trips:
 //! register numbers 0–31 and access widths 1, 2, 4 and 8.
 
 use crate::entry::{BranchEvent, MemAccess, OpKind, RegClass, RegRef, TraceEntry};
 use crate::io::kind_to_u8;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::fmt;
 
 const DST_SHIFT: u32 = 4;
 const SRC0_SHIFT: u32 = 11;
@@ -43,9 +58,12 @@ const WIDTH_SHIFT: u32 = 26;
 const MEM_FP: u32 = 1 << 28;
 const BRANCH: u32 = 1 << 29;
 const TAKEN: u32 = 1 << 30;
-const PC_OVERRIDE: u32 = 1 << 31;
 
-/// Kind by wire byte; the four unused codes never occur.
+/// The id of an escaped entry, whose static fields are in the payload.
+/// The table's ids stop below it.
+const ESCAPE: u16 = u16::MAX;
+
+/// Kind by wire byte; the six unused codes never occur.
 const KINDS: [OpKind; 16] = {
     let mut kinds = [OpKind::System; 16];
     let mut i = 0;
@@ -56,14 +74,15 @@ const KINDS: [OpKind; 16] = {
     kinds
 };
 
-/// One entry's fixed-size fields, packed into 32 bits.
+/// One entry's static record, as an index into its trace's table.
 ///
 /// Opaque: it is what [`Trace::entries`](crate::Trace::entries) returns,
-/// so `size_of_val` of that slice is the op-word column's size. It has
-/// no comparison; compare whole traces instead, since the op words
-/// alone omit every address, value, target and overridden pc.
+/// so `size_of_val` of that slice is the id column's size. It has no
+/// comparison: an id means something only in its own trace's table, and
+/// the column omits every address and value, so compare whole traces
+/// instead.
 #[derive(Debug, Copy, Clone)]
-pub struct OpWord(u32);
+pub struct RecordId(u16);
 
 fn reg_bits(r: Option<RegRef>) -> u32 {
     match r {
@@ -78,7 +97,6 @@ fn reg_bits(r: Option<RegRef>) -> u32 {
     }
 }
 
-#[inline]
 fn reg_from(bits: u32) -> Option<RegRef> {
     (bits & REG_PRESENT != 0).then_some(RegRef {
         class: if bits & REG_FP != 0 {
@@ -90,28 +108,110 @@ fn reg_from(bits: u32) -> Option<RegRef> {
     })
 }
 
-/// The pc the entry after `pc` is predicted at, given its branch event.
-#[inline]
-fn successor(pc: u64, branch: Option<BranchEvent>) -> u64 {
-    match branch {
-        Some(b) => b.target,
-        None => pc.wrapping_add(4),
+/// A static record's identity: its pc, packed word and branch target
+/// (0 without a branch event).
+#[derive(Debug, Copy, Clone, PartialEq, Eq, Hash)]
+struct Key {
+    pc: u64,
+    target: u64,
+    word: u32,
+}
+
+impl Key {
+    #[inline]
+    fn of(e: &TraceEntry) -> Key {
+        let mut word = kind_to_u8(e.kind) as u32
+            | reg_bits(e.dst) << DST_SHIFT
+            | reg_bits(e.srcs[0]) << SRC0_SHIFT
+            | reg_bits(e.srcs[1]) << SRC1_SHIFT;
+        if let Some(m) = e.mem {
+            word |= MEM | (m.width.trailing_zeros() & 3) << WIDTH_SHIFT;
+            if m.fp {
+                word |= MEM_FP;
+            }
+        }
+        let mut target = 0;
+        if let Some(b) = e.branch {
+            word |= BRANCH;
+            if b.taken {
+                word |= TAKEN;
+            }
+            target = b.target;
+        }
+        Key {
+            pc: e.pc,
+            target,
+            word,
+        }
+    }
+
+    /// The record as an entry whose access `addr` and `value` are 0.
+    fn decode(self) -> TraceEntry {
+        let w = self.word;
+        TraceEntry {
+            pc: self.pc,
+            kind: KINDS[(w & 0xf) as usize],
+            dst: reg_from(w >> DST_SHIFT),
+            srcs: [reg_from(w >> SRC0_SHIFT), reg_from(w >> SRC1_SHIFT)],
+            mem: (w & MEM != 0).then_some(MemAccess {
+                addr: 0,
+                width: 1 << ((w >> WIDTH_SHIFT) & 3),
+                value: 0,
+                fp: w & MEM_FP != 0,
+            }),
+            branch: (w & BRANCH != 0).then_some(BranchEvent {
+                taken: w & TAKEN != 0,
+                target: self.target,
+            }),
+        }
     }
 }
 
-/// The two columns, appended to by [`Columns::push`].
-#[derive(Debug, Clone, Default)]
+/// A table record's key, flattened beside its successor memo so that
+/// the two fit in 24 bytes.
+#[derive(Debug, Copy, Clone)]
+struct Slot {
+    pc: u64,
+    target: u64,
+    word: u32,
+    /// The ids of the last two distinct records pushed right after this
+    /// one, the latest first; [`ESCAPE`] until there are any. Two cover
+    /// both outcomes of a conditional branch that follows it.
+    next: [u16; 2],
+}
+
+impl Slot {
+    #[inline]
+    fn key(&self) -> Key {
+        Key {
+            pc: self.pc,
+            target: self.target,
+            word: self.word,
+        }
+    }
+}
+
+/// The table, the id column and the payload, appended to by
+/// [`Columns::push`].
+#[derive(Clone, Default)]
 pub(crate) struct Columns {
-    ops: Vec<OpWord>,
+    ids: Vec<RecordId>,
     payload: Vec<u64>,
-    /// The pc the next pushed entry is predicted at.
-    next_pc: u64,
+    /// The table: each record pre-decoded, by id.
+    records: Vec<TraceEntry>,
+    /// Each record's key and successor memo, by id.
+    slots: Vec<Slot>,
+    /// Key to id, for the pushes the memo does not predict.
+    index: HashMap<Key, u16>,
+    /// The previous entry's id; with no slot behind it (an escape, or
+    /// no entry yet) the next push skips the memo.
+    last: u16,
 }
 
 impl Columns {
     pub(crate) fn with_capacity(n: usize) -> Columns {
         Columns {
-            ops: Vec::with_capacity(n),
+            ids: Vec::with_capacity(n),
             ..Columns::default()
         }
     }
@@ -126,60 +226,105 @@ impl Columns {
                     .all(|r| r.num < 32),
             "entry outside the layout's domain: {e:?}"
         );
-        let mut word = kind_to_u8(e.kind) as u32
-            | reg_bits(e.dst) << DST_SHIFT
-            | reg_bits(e.srcs[0]) << SRC0_SHIFT
-            | reg_bits(e.srcs[1]) << SRC1_SHIFT;
-        if e.pc != self.next_pc {
-            word |= PC_OVERRIDE;
-            self.payload.push(e.pc);
+        let key = Key::of(e);
+        let memo = self
+            .slots
+            .get(self.last as usize)
+            .map_or([ESCAPE; 2], |s| s.next);
+        let hit = |id: u16| self.slots.get(id as usize).is_some_and(|s| s.key() == key);
+        let id = if hit(memo[0]) {
+            memo[0]
+        } else if hit(memo[1]) {
+            memo[1]
+        } else {
+            self.lookup(key)
+        };
+        self.ids.push(RecordId(id));
+        self.last = id;
+        if id == ESCAPE {
+            self.payload.extend_from_slice(&[key.pc, key.word as u64]);
+            if key.word & BRANCH != 0 {
+                self.payload.push(key.target);
+            }
         }
         if let Some(m) = e.mem {
-            word |= MEM | (m.width.trailing_zeros() & 3) << WIDTH_SHIFT;
-            if m.fp {
-                word |= MEM_FP;
-            }
             self.payload.extend_from_slice(&[m.addr, m.value]);
         }
-        if let Some(b) = e.branch {
-            word |= BRANCH;
-            if b.taken {
-                word |= TAKEN;
+    }
+
+    /// The id of `key`'s record, added to the table if it is new and
+    /// the table has room, or [`ESCAPE`]. It becomes the previous
+    /// record's latest successor.
+    #[cold]
+    #[inline(never)]
+    fn lookup(&mut self, key: Key) -> u16 {
+        let known = self.records.len();
+        let id = match self.index.entry(key) {
+            Entry::Occupied(o) => *o.get(),
+            Entry::Vacant(v) if known < ESCAPE as usize => {
+                let id = *v.insert(known as u16);
+                self.records.push(key.decode());
+                self.slots.push(Slot {
+                    pc: key.pc,
+                    target: key.target,
+                    word: key.word,
+                    next: [ESCAPE; 2],
+                });
+                id
             }
-            self.payload.push(b.target);
+            Entry::Vacant(_) => ESCAPE,
+        };
+        if let Some(prev) = self.slots[..known].get_mut(self.last as usize) {
+            prev.next = [id, prev.next[0]];
         }
-        self.ops.push(OpWord(word));
-        self.next_pc = successor(e.pc, e.branch);
+        id
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.ops.len()
+        self.ids.len()
     }
 
-    pub(crate) fn op_words(&self) -> &[OpWord] {
-        &self.ops
+    pub(crate) fn ids(&self) -> &[RecordId] {
+        &self.ids
     }
 
     pub(crate) fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val(self.ops.as_slice()) + std::mem::size_of_val(self.payload.as_slice())
+        std::mem::size_of_val(self.ids.as_slice())
+            + std::mem::size_of_val(self.payload.as_slice())
+            + std::mem::size_of_val(self.records.as_slice())
+            + std::mem::size_of_val(self.slots.as_slice())
     }
 
     pub(crate) fn iter(&self) -> Iter<'_> {
         Iter {
-            ops: self.ops.iter(),
+            ids: self.ids.iter(),
+            records: &self.records,
             payload: &self.payload,
             pos: 0,
-            pc: 0,
+            escaped: TraceEntry::simple(0, OpKind::System),
         }
     }
 }
 
 impl PartialEq for Columns {
-    /// Both columns, word for word (`next_pc` follows from them).
+    /// The id column, the payload and the table (the memos and the map
+    /// follow from them).
     fn eq(&self, other: &Columns) -> bool {
         self.payload == other.payload
-            && self.ops.len() == other.ops.len()
-            && self.ops.iter().zip(&other.ops).all(|(a, b)| a.0 == b.0)
+            && self.records == other.records
+            && self.ids.len() == other.ids.len()
+            && self.ids.iter().zip(&other.ids).all(|(a, b)| a.0 == b.0)
+    }
+}
+
+impl fmt::Debug for Columns {
+    /// Leaves out the map, whose order varies from run to run.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Columns")
+            .field("ids", &self.ids)
+            .field("payload", &self.payload)
+            .field("records", &self.records)
+            .finish_non_exhaustive()
     }
 }
 
@@ -190,23 +335,37 @@ impl PartialEq for Columns {
 /// is how a consumer looks ahead without consuming.
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
-    ops: std::slice::Iter<'a, OpWord>,
+    ids: std::slice::Iter<'a, RecordId>,
+    records: &'a [TraceEntry],
     payload: &'a [u64],
     /// Index of the next entry's first payload word.
     pos: usize,
-    /// The pc the next entry is predicted at.
-    pc: u64,
+    /// The record of the last escaped entry read. `next` copies every
+    /// record through a reference, to the table or to this, so that a
+    /// consumer's loop loads only the fields it reads.
+    escaped: TraceEntry,
 }
 
 impl Iter<'_> {
-    /// The next payload word. `push` writes both columns together, so
+    /// The next payload word. `push` writes every column together, so
     /// the word is always there; reading 0 past the end keeps the
-    /// decoder free of panics all the same.
+    /// iterator free of panics all the same.
     #[inline]
     fn word(&mut self) -> u64 {
         let w = self.payload.get(self.pos).copied().unwrap_or(0);
         self.pos += 1;
         w
+    }
+
+    /// Decodes an escaped entry's record from its payload words.
+    #[cold]
+    #[inline(never)]
+    fn escaped(&mut self) -> &TraceEntry {
+        let pc = self.word();
+        let word = self.word() as u32;
+        let target = if word & BRANCH != 0 { self.word() } else { 0 };
+        self.escaped = Key { pc, target, word }.decode();
+        &self.escaped
     }
 }
 
@@ -215,46 +374,22 @@ impl Iterator for Iter<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<TraceEntry> {
-        let w = self.ops.next()?.0;
-        let pc = if w & PC_OVERRIDE != 0 {
-            self.word()
-        } else {
-            self.pc
+        let id = self.ids.next()?.0;
+        let record = match self.records.get(id as usize) {
+            Some(record) => record,
+            None => self.escaped(),
         };
-        let mem = if w & MEM != 0 {
-            let addr = self.word();
-            let value = self.word();
-            Some(MemAccess {
-                addr,
-                width: 1 << ((w >> WIDTH_SHIFT) & 3),
-                value,
-                fp: w & MEM_FP != 0,
-            })
-        } else {
-            None
-        };
-        let branch = if w & BRANCH != 0 {
-            Some(BranchEvent {
-                taken: w & TAKEN != 0,
-                target: self.word(),
-            })
-        } else {
-            None
-        };
-        self.pc = successor(pc, branch);
-        Some(TraceEntry {
-            pc,
-            kind: KINDS[(w & 0xf) as usize],
-            dst: reg_from(w >> DST_SHIFT),
-            srcs: [reg_from(w >> SRC0_SHIFT), reg_from(w >> SRC1_SHIFT)],
-            mem,
-            branch,
-        })
+        let mut e = *record;
+        if let Some(m) = &mut e.mem {
+            m.addr = self.word();
+            m.value = self.word();
+        }
+        Some(e)
     }
 
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.ops.size_hint()
+        self.ids.size_hint()
     }
 }
 

@@ -8,7 +8,8 @@
 //! * [`TraceEntry`] — one retired instruction with its register operands,
 //!   memory access, and branch outcome;
 //! * [`Trace`] — an owned instruction trace with summary statistics,
-//!   stored as two compact columns and read back by value;
+//!   stored as a table of static records plus a 16-bit id and the
+//!   memory access of each entry, and read back by value;
 //! * [`PredOutcome`] — the per-load annotation produced by the LVP unit
 //!   simulation ("no prediction, incorrect prediction, correct prediction,
 //!   or constant load" — two bits of state per load, exactly as the paper
@@ -31,7 +32,7 @@ mod window;
 pub use crc32::crc32;
 pub use entry::{BranchEvent, MemAccess, OpKind, RegClass, RegRef, TraceEntry};
 pub use io::{read_trace, write_trace, TraceIoError, FORMAT_VERSION};
-pub use layout::{Iter, OpWord};
+pub use layout::{Iter, RecordId};
 pub use reader::TraceReader;
 pub use text::{dump_text, parse_text, ParseTraceError};
 pub use window::{TraceWindow, Windows};
@@ -117,9 +118,12 @@ impl TraceStats {
 
 /// An owned dynamic instruction trace.
 ///
-/// Entries are stored compactly — about 7.5 bytes each on real traces
-/// instead of the 56 of a [`TraceEntry`] (DESIGN.md §6.3) — so they are
-/// read back by value: [`Trace::iter`] decodes each entry as it goes.
+/// Each distinct static record (an entry without its access's `addr`
+/// and `value`) is stored once per trace, and each entry as a 2-byte
+/// record id plus its access: about 4.7 bytes per entry on real traces
+/// instead of the 56 of a [`TraceEntry`] (DESIGN.md §6.3). Entries are
+/// therefore read back by value: [`Trace::iter`] copies each entry's
+/// record and fills in its access.
 ///
 /// # Examples
 ///
@@ -142,7 +146,7 @@ impl Trace {
         Trace::default()
     }
 
-    /// Creates an empty trace with room for `n` entries' op words.
+    /// Creates an empty trace with room for `n` entries' record ids.
     pub fn with_capacity(n: usize) -> Trace {
         Trace {
             columns: Columns::with_capacity(n),
@@ -160,14 +164,17 @@ impl Trace {
         self.columns.push(&entry);
     }
 
-    /// The op-word column: one opaque word per entry, in program order.
+    /// The id column: one opaque record id per entry, in program order.
     /// `size_of_val` of it is that column's size; read entries with
     /// [`Trace::iter`], and compare traces with `==`.
-    pub fn entries(&self) -> &[OpWord] {
-        self.columns.op_words()
+    pub fn entries(&self) -> &[RecordId] {
+        self.columns.ids()
     }
 
-    /// Bytes held by both columns (op words and payload).
+    /// Bytes held by the id column, the payload and the record table (80
+    /// bytes per record). Left out: the map from a record's key to its
+    /// id (40–75 bytes per record, with its spare buckets), and spare
+    /// capacity.
     pub fn heap_bytes(&self) -> usize {
         self.columns.heap_bytes()
     }
@@ -275,26 +282,37 @@ mod tests {
         assert_eq!(collected, pushed);
     }
 
+    /// A table record costs its pre-decoded entry plus a 24-byte key
+    /// and successor memo.
+    const RECORD_BYTES: usize = 56 + 24;
+
     #[test]
-    fn pc_is_stored_only_where_the_previous_entry_mispredicts_it() {
+    fn each_static_record_is_stored_once() {
+        assert_eq!(std::mem::size_of::<TraceEntry>(), 56);
         let mut t = Trace::new();
-        t.push(TraceEntry::simple(0x10000, OpKind::IntSimple)); // first entry: override
-        t.push(TraceEntry::simple(0x10004, OpKind::IntSimple)); // pc + 4
+        t.push(TraceEntry::simple(0x10000, OpKind::IntSimple)); // record 0
+        t.push(TraceEntry::simple(0x10004, OpKind::IntSimple)); // record 1
         let mut b = TraceEntry::simple(0x10008, OpKind::CondBranch);
         b.branch = Some(BranchEvent {
             taken: true,
             target: 0x10000,
         });
-        t.push(b); // branch event: 8 bytes
-        t.push(TraceEntry::simple(0x10000, OpKind::IntSimple)); // at the target
-        assert_eq!(t.heap_bytes(), 4 * 4 + 8 + 8);
-        t.push(TraceEntry::simple(0x30000, OpKind::IntSimple)); // override
-        t.push(load_entry(0x30004)); // access: 16 bytes
-        assert_eq!(t.heap_bytes(), 6 * 4 + 8 + 8 + 8 + 16);
-        assert_eq!(
-            t.iter().map(|e| e.pc).collect::<Vec<_>>()[4..],
-            [0x30000, 0x30004]
-        );
+        t.push(b); // record 2, target included
+        t.push(TraceEntry::simple(0x10000, OpKind::IntSimple)); // record 0 again
+        assert_eq!(t.heap_bytes(), 4 * 2 + 3 * RECORD_BYTES);
+        b.branch = Some(BranchEvent {
+            taken: false,
+            target: 0x1000c,
+        });
+        t.push(b); // record 3: another outcome
+        t.push(load_entry(0x10004)); // record 4, and its access: 16 bytes
+        let mut again = load_entry(0x10004);
+        again.mem.as_mut().unwrap().addr = 0x10_0010;
+        again.mem.as_mut().unwrap().value = 6;
+        t.push(again); // record 4 again, another access
+        assert_eq!(t.heap_bytes(), 7 * 2 + 2 * 16 + 5 * RECORD_BYTES);
+        assert_eq!(t.iter().nth(6), Some(again));
+        assert_eq!(std::mem::size_of_val(t.entries()), 7 * 2);
     }
 
     #[test]
@@ -304,7 +322,7 @@ mod tests {
         other.mem.as_mut().unwrap().value = 6;
         let b: Trace = [other].into_iter().collect();
         assert_eq!(a.len(), b.len());
-        assert_ne!(a, b, "same op words, different values");
+        assert_ne!(a, b, "same record ids, different values");
     }
 
     #[test]
